@@ -3,9 +3,10 @@
 The Hamiltonian H = D (-hbar^2 Laplacian)^(alpha/2) + V(x) is discretized
 on a bounded interval [-L, L] with cardinal sampling functions adapted to
 periodic, Dirichlet, antiperiodic or Neumann boundary conditions.  The
-fractional kinetic term acts as the spectral multiplier |p|^alpha, whose
-dense collocation matrix has a real trigonometric closed form for each
-sampling set.
+fractional kinetic term acts as the spectral multiplier |p|^alpha.  Each
+sampling set is also a set of free modes with an orthogonal real transform
+to the grid samples (DST-I, DCT-II, real DFT, odd-harmonic real DFT), so the
+kinetic matrix is S diag(|p_n|^alpha) S^T, its trace a sum over the modes.
 
 Typical use:
 

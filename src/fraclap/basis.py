@@ -5,6 +5,12 @@ cardinal sampling functions s_k, stored through their expansion coefficients
 C_n(k, N) in the exponentials exp(i n pi x / (2L)), n = -2N..2N.  The
 coefficients are independent of L; only the grid points and the exponential
 frequencies scale with it.
+
+The same sampling set is also a set of free modes with momenta n pi / (2L)
+(``mode_numbers``) and an orthogonal real transform from modes to grid
+samples (``mode_matrix``): a DST-I for Dirichlet, a DCT-II for Neumann, a
+real DFT for periodic and an odd-harmonic real DFT for antiperiodic grids.
+Every even spectral multiplier m(|p|) is diagonal in these modes.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, NumericalError, ParameterError
 
 # Maximum imaginary residue tolerated when a sampling-function sum is
 # collapsed to its real part.
@@ -98,6 +104,64 @@ def make_grid(kind: BasisKind, N: int, L: float) -> Grid:
     return Grid(kind=kind, N=int(N), L=float(L), indices=indices, points=points)
 
 
+def mode_numbers(grid: Grid) -> np.ndarray:
+    """Mode number n of each free mode, one per column of ``mode_matrix``.
+
+    Mode n has momentum n pi / (2L).  Periodic modes 2r > 0 and antiperiodic
+    modes come in cosine/sine pairs, so their numbers appear twice.
+    """
+    N = grid.N
+    if grid.kind == BasisKind.DIRICHLET:
+        return np.arange(1, 2 * N)
+    if grid.kind == BasisKind.NEUMANN:
+        return np.arange(0, 2 * N + 1)
+    if grid.kind == BasisKind.PERIODIC:
+        return np.concatenate(([0], np.repeat(np.arange(2, 2 * N + 1, 2), 2)))
+    return np.repeat(np.arange(1, 2 * N, 2), 2)  # ANTIPERIODIC
+
+
+def mode_momenta(grid: Grid) -> np.ndarray:
+    """Momentum n pi / (2L) >= 0 of each free mode."""
+    return mode_numbers(grid) * np.pi / (2.0 * grid.L)
+
+
+def _unit_circle(phase: np.ndarray, period: int) -> np.ndarray:
+    """exp(2 pi i phase / period) for integer phases, by table lookup."""
+    angle = 2.0 * np.pi * np.arange(period) / period
+    return (np.cos(angle) + 1j * np.sin(angle))[phase % period]
+
+
+def mode_matrix(grid: Grid) -> np.ndarray:
+    """Orthogonal matrix S whose column i samples free mode i on the grid.
+
+    Columns follow ``mode_numbers``; rows are indexed by j = k + N.  Each
+    phase is the integer j n (2j + 1 for Neumann) reduced modulo its period
+    before the table lookup, so no large trig argument and no rounded
+    multiple of pi enters.
+    """
+    N = grid.N
+    j = (grid.indices + N)[:, None]
+    n = mode_numbers(grid)[None, :]
+    if grid.kind == BasisKind.DIRICHLET:
+        return _unit_circle(j * n, 4 * N).imag / np.sqrt(N)
+    M = 2 * N + 1
+    if grid.kind == BasisKind.NEUMANN:
+        S = _unit_circle((2 * j + 1) * n, 4 * M).real * np.sqrt(2.0 / M)
+        S[:, 0] = 1.0 / np.sqrt(M)
+        return S
+    # the last 2N columns alternate cosine and sine of each mode pair
+    if grid.kind == BasisKind.PERIODIC:
+        S = np.empty((M, M))
+        S[:, 0] = 1.0 / np.sqrt(M)
+        z = _unit_circle(j * n[:, 1::2], 2 * M) * np.sqrt(2.0 / M)
+    else:  # ANTIPERIODIC
+        S = np.empty((2 * N, 2 * N))
+        z = _unit_circle(j * n[:, ::2], 4 * N) / np.sqrt(N)
+    S[:, -2 * N::2] = z.real
+    S[:, 1 - 2 * N::2] = z.imag
+    return S
+
+
 def coefficients(grid: Grid) -> SpectralCoefficients:
     """Coefficients C_n(k, N) of s_k in exp(i n pi x / (2L)), n = -2N..2N.
 
@@ -140,9 +204,8 @@ def _exponential_table(coeffs: SpectralCoefficients, x) -> np.ndarray:
 def _collapse_real(z: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.abs(z).max(initial=0.0)))
     resid = float(np.abs(z.imag).max(initial=0.0))
-    assert resid <= _IMAG_TOL * scale, (
-        f"imaginary residue {resid:.3e} exceeds tolerance"
-    )
+    if resid > _IMAG_TOL * scale:
+        raise NumericalError(f"imaginary residue {resid:.3e} exceeds tolerance")
     return np.ascontiguousarray(z.real)
 
 

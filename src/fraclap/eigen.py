@@ -15,9 +15,10 @@ import numpy as np
 from .basis import (
     BasisKind,
     Grid,
-    SpectralCoefficients,
     coefficients,
     interpolate,
+    mode_matrix,
+    mode_numbers,
     quadrature_weights,
 )
 from .errors import ContractError, DimensionError, NumericalError
@@ -90,6 +91,11 @@ def eigendecompose(H: OperatorMatrix) -> Spectrum:
     A = np.asarray(H.entries, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractError(f"matrix must be square, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise NumericalError(
+            "matrix has non-finite entries, most likely an overflow of "
+            "|p|^alpha or V(x); lower alpha or N"
+        )
     scale = max(1.0, float(np.abs(A).max()))
     asym = float(np.abs(A - A.T).max())
     if asym > 1e-10 * scale:
@@ -112,51 +118,37 @@ def eigendecompose(H: OperatorMatrix) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=V, grid=H.grid)
 
 
-def _fourier_mass_split(coeffs: SpectralCoefficients, v: np.ndarray):
-    """Mass of a periodic state on full-interval vs half-interval harmonics.
-
-    The expansion frequencies are n pi / 2L with even n on the periodic
-    grid; harmonics with n/2 odd have minimal period 2L, those with n/2
-    even repeat with period L.
-    """
-    c = v @ coeffs.values
-    power = np.abs(c) ** 2
-    n = coeffs.n_values
-    m = n // 2
-    full = float(power[(n % 2 == 0) & (m % 2 != 0)].sum())
-    half = float(power[(n % 2 == 0) & (m % 2 == 0)].sum())
-    return full, half
-
-
 def classify_parity(spec: Spectrum) -> list:
     """Label each state 'even', 'odd' or 'mixed'; add a period tag on periodic grids.
 
-    The period tag is '2L' when the state carries half-interval-odd
-    harmonics (minimal period 2L) and 'L' when only full-period-L harmonics
-    are present; None for non-periodic grids.  Results are stored on
+    The period tag compares the mass of each state on the free modes with
+    n/2 odd (minimal period 2L) against those with n/2 even (period L):
+    '2L' or 'L' for the dominant one, 'mixed' when both carry more than the
+    threshold share; None for non-periodic grids.  Results are stored on
     ``spec.labels`` and returned.
     """
     V = spec.eigenvectors
     PV = _apply_parity(spec.grid, V)
+    even_w = 0.25 * np.sum((V + PV) ** 2, axis=0)
+    odd_w = 0.25 * np.sum((V - PV) ** 2, axis=0)
+    periods = [None] * V.shape[1]
+    if spec.grid.kind == BasisKind.PERIODIC:
+        mass = (mode_matrix(spec.grid).T @ V) ** 2
+        full_period = (mode_numbers(spec.grid) // 2) % 2 == 1
+        full = mass[full_period].sum(axis=0)
+        half = mass[~full_period].sum(axis=0)
+        total = full + half
+        periods = [
+            "mixed" if f > _MIXED_THRESHOLD * t and h > _MIXED_THRESHOLD * t
+            else ("2L" if f >= h else "L")
+            for f, h, t in zip(full, half, total)
+        ]
     labels = []
-    per_coeffs = coefficients(spec.grid) if spec.grid.kind == BasisKind.PERIODIC else None
-    for i in range(V.shape[1]):
-        v, pv = V[:, i], PV[:, i]
-        even_w = 0.25 * float(np.sum((v + pv) ** 2))
-        odd_w = 0.25 * float(np.sum((v - pv) ** 2))
-        if even_w > _MIXED_THRESHOLD and odd_w > _MIXED_THRESHOLD:
+    for e, o, period in zip(even_w, odd_w, periods):
+        if e > _MIXED_THRESHOLD and o > _MIXED_THRESHOLD:
             parity = "mixed"
         else:
-            parity = "even" if even_w >= odd_w else "odd"
-
-        period = None
-        if per_coeffs is not None:
-            full, half = _fourier_mass_split(per_coeffs, v)
-            total = full + half
-            if full > _MIXED_THRESHOLD * total and half > _MIXED_THRESHOLD * total:
-                period = "mixed"
-            else:
-                period = "2L" if full >= half else "L"
+            parity = "even" if e >= o else "odd"
         labels.append((parity, period))
     spec.labels = labels
     return labels

@@ -2,8 +2,9 @@
 
 The Hamiltonian is H = D * hbar**alpha * |p|^alpha + diag(V(x_k)).  The box
 half-length L is an unphysical parameter of the sampling set; it is chosen
-at the minimum of trace(H(L)), which is cheap to evaluate because only the
-diagonal of the kinetic matrix is needed.
+at the minimum of trace(H(L)).  The kinetic matrix is orthogonally similar
+to diag(|p_n|^alpha) over the free modes of the grid, so the trace is a sum
+over the mode momenta plus the potential samples, with no matrix built.
 """
 
 from __future__ import annotations
@@ -14,14 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import BasisKind, Grid, coefficients, make_grid
+from .basis import BasisKind, make_grid, mode_momenta
 from .errors import EvaluationError, NumericalError, ParameterError
-from .operators import (
-    OperatorMatrix,
-    _abs_power,
-    _even_closed_form,
-    _even_closed_form_diagonal,
-)
+from .operators import OperatorMatrix, abs_power_entries
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -77,9 +73,9 @@ def assemble(spec: HamiltonianSpec, L: float) -> OperatorMatrix:
     (-hbar**2 Laplacian)^(alpha/2) = hbar**alpha |p|^alpha.
     """
     grid = make_grid(spec.kind, spec.N, L)
-    kinetic = _even_closed_form(grid, _abs_power(spec.alpha), label="")
+    kinetic = abs_power_entries(grid, spec.alpha)
     prefactor = spec.d_alpha * spec.hbar ** spec.alpha
-    entries = prefactor * kinetic.entries + np.diag(_potential_values(spec.potential, grid.points))
+    entries = prefactor * kinetic + np.diag(_potential_values(spec.potential, grid.points))
     return OperatorMatrix(
         grid=grid,
         entries=entries,
@@ -92,9 +88,9 @@ def trace(H: OperatorMatrix) -> float:
 
 
 def _trace_of(spec: HamiltonianSpec, L: float) -> float:
-    """trace(assemble(spec, L)) without assembling the full matrix."""
+    """trace(assemble(spec, L)) as a sum over the free modes, in O(N)."""
     grid = make_grid(spec.kind, spec.N, L)
-    kin = _even_closed_form_diagonal(grid, _abs_power(spec.alpha)).sum()
+    kin = np.sum(mode_momenta(grid) ** spec.alpha)
     prefactor = spec.d_alpha * spec.hbar ** spec.alpha
     return float(prefactor * kin + _potential_values(spec.potential, grid.points).sum())
 
@@ -169,8 +165,7 @@ def momentum_space_oscillator(alpha: float, N: int, L: float) -> OperatorMatrix:
     if not np.isfinite(alpha) or alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha!r}")
     grid = make_grid(BasisKind.DIRICHLET, N, L)
-    second_derivative = _even_closed_form(grid, lambda p: p * p, label="")
-    entries = second_derivative.entries + np.diag(np.abs(grid.points) ** alpha)
+    entries = abs_power_entries(grid, 2.0) + np.diag(np.abs(grid.points) ** alpha)
     return OperatorMatrix(grid=grid, entries=entries, label=f"p^2 + |p|^{alpha:g} (momentum rep)")
 
 
@@ -184,7 +179,7 @@ def find_momentum_pms_length(
 
     def trace_fn(L):
         grid = make_grid(BasisKind.DIRICHLET, N, L)
-        kin = _even_closed_form_diagonal(grid, lambda p: p * p).sum()
+        kin = np.sum(mode_momenta(grid) ** 2)
         return float(kin + np.sum(np.abs(grid.points) ** alpha))
 
     return _minimize_scan(trace_fn, bracket, tol)

@@ -2,11 +2,11 @@
 
 Two assembly routes are provided.  ``multiplier_matrix`` evaluates the
 generic complex sum over the exponential expansion and works for any finite
-real multiplier.  ``fractional_laplacian_matrix`` (and, internally, any even
-multiplier) uses the real trigonometric closed forms specific to each basis
-kind; these are assembled in extended precision because the Mathieu and
-oscillator benchmarks need entries good to well below 1e-12 even when the
-largest momenta contribute terms of order N**alpha.
+real multiplier; it is kept as the independent reference.
+``fractional_laplacian_matrix`` (and ``abs_power_entries``, which the
+Hamiltonian assembly uses) diagonalizes |p|^alpha in the free modes of the
+grid: with the orthogonal mode matrix S of ``basis.mode_matrix`` the matrix
+is S diag(|p_n|^alpha) S^T, in plain double precision.
 """
 
 from __future__ import annotations
@@ -16,11 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisKind, Grid, SpectralCoefficients, _exponential_table
+from .basis import Grid, SpectralCoefficients, _exponential_table, mode_matrix, mode_momenta
 from .errors import MultiplierDomainError, NumericalError, ParameterError
-
-_LD = np.longdouble
-_PI = _LD(np.pi)
 
 
 @dataclass(frozen=True)
@@ -78,108 +75,26 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m) -> OperatorMatrix:
     return OperatorMatrix(grid=grid, entries=np.ascontiguousarray(raw.real), label=label)
 
 
-def _even_closed_form(grid: Grid, m_of_p: Callable, label: str) -> OperatorMatrix:
-    """Real closed-form assembly for a multiplier that is even in p.
+def abs_power_entries(grid: Grid, alpha: float) -> np.ndarray:
+    """Dense matrix of |p|^alpha on ``grid``, through its free modes.
 
-    Exploits the pairing of +n and -n terms, which leaves cosine sums in
-    (k - j) and, for the Dirichlet and Neumann sets, (k + j).  All sums run
-    in 80-bit extended precision; the result is returned as float64.
+    With S the orthogonal mode matrix and p_n the mode momenta the matrix is
+    S diag(p_n**alpha) S^T.  It is formed as B B^T with
+    B = S diag(p_n**(alpha/2)), which makes it exactly symmetric.
     """
-    N = grid.N
-    L = _LD(grid.L)
-    k = grid.indices
-    K, J = np.meshgrid(k, k, indexing="ij")
-
-    if grid.kind == BasisKind.PERIODIC:
-        r = np.arange(1, N + 1, dtype=_LD)
-        mr = np.asarray(m_of_p(r * _PI / L), dtype=_LD)
-        d = np.arange(-2 * N, 2 * N + 1, dtype=_LD)
-        T = np.cos(np.outer(d, r) * 2 * _PI / (2 * N + 1)) @ mr * 2 / (2 * N + 1)
-        M = T[(K - J) + 2 * N] + _LD(m_of_p(_LD(0))) / (2 * N + 1)
-    elif grid.kind == BasisKind.DIRICHLET:
-        n = np.arange(1, 2 * N + 1, dtype=_LD)
-        mn = np.asarray(m_of_p(n * _PI / (2 * L)), dtype=_LD)
-        d = np.arange(-(2 * N - 2), 2 * N - 1, dtype=_LD)
-        cosmat = np.cos(np.outer(d, n) * _PI / (2 * N))
-        A = cosmat @ mn / (2 * N)
-        B = cosmat @ (mn * (-1.0) ** n) / (2 * N)
-        off = 2 * N - 2
-        M = A[(K - J) + off] - B[(K + J) + off]
-    elif grid.kind == BasisKind.ANTIPERIODIC:
-        odd = np.arange(1, 2 * N + 1, 2, dtype=_LD)
-        mo = np.asarray(m_of_p(odd * _PI / (2 * L)), dtype=_LD)
-        d = np.arange(-(2 * N - 1), 2 * N, dtype=_LD)
-        T = np.cos(np.outer(d, odd) * _PI / (2 * N)) @ mo / N
-        M = T[(K - J) + (2 * N - 1)]
-    else:  # NEUMANN
-        n = np.arange(1, 2 * N + 1, dtype=_LD)
-        mn = np.asarray(m_of_p(n * _PI / (2 * L)), dtype=_LD)
-        d = np.arange(-2 * N, 2 * N + 1, dtype=_LD)
-        cosmat = np.cos(np.outer(d, n) * _PI / (2 * N + 1))
-        A = cosmat @ mn / (2 * N + 1)
-        B = cosmat @ (mn * (-1.0) ** n) / (2 * N + 1)
-        M = A[(K - J) + 2 * N] + B[(K + J) + 2 * N] + _LD(m_of_p(_LD(0))) / (2 * N + 1)
-
-    return OperatorMatrix(grid=grid, entries=M.astype(np.float64), label=label)
-
-
-def _even_closed_form_diagonal(grid: Grid, m_of_p: Callable) -> np.ndarray:
-    """Diagonal of the closed-form matrix, without building the matrix.
-
-    Used by the box-size optimization, where only the trace is needed.
-    """
-    N = grid.N
-    L = _LD(grid.L)
-    k = grid.indices
-
-    if grid.kind == BasisKind.PERIODIC:
-        r = np.arange(1, N + 1, dtype=_LD)
-        mr = np.asarray(m_of_p(r * _PI / L), dtype=_LD)
-        const = 2 * mr.sum() / (2 * N + 1) + _LD(m_of_p(_LD(0))) / (2 * N + 1)
-        return np.full(grid.dim, const, dtype=_LD)
-    if grid.kind == BasisKind.DIRICHLET:
-        n = np.arange(1, 2 * N + 1, dtype=_LD)
-        mn = np.asarray(m_of_p(n * _PI / (2 * L)), dtype=_LD)
-        a0 = mn.sum() / (2 * N)
-        s = (2 * k).astype(_LD)
-        B = np.cos(np.outer(s, n) * _PI / (2 * N)) @ (mn * (-1.0) ** n) / (2 * N)
-        return a0 - B
-    if grid.kind == BasisKind.ANTIPERIODIC:
-        odd = np.arange(1, 2 * N + 1, 2, dtype=_LD)
-        mo = np.asarray(m_of_p(odd * _PI / (2 * L)), dtype=_LD)
-        return np.full(grid.dim, mo.sum() / N, dtype=_LD)
-    # NEUMANN
-    n = np.arange(1, 2 * N + 1, dtype=_LD)
-    mn = np.asarray(m_of_p(n * _PI / (2 * L)), dtype=_LD)
-    a0 = mn.sum() / (2 * N + 1) + _LD(m_of_p(_LD(0))) / (2 * N + 1)
-    s = (2 * k).astype(_LD)
-    B = np.cos(np.outer(s, n) * _PI / (2 * N + 1)) @ (mn * (-1.0) ** n) / (2 * N + 1)
-    return a0 + B
-
-
-def _abs_power(alpha: float) -> Callable:
-    ld_alpha = _LD(alpha)
-
-    def m(p):
-        p = np.abs(np.asarray(p, dtype=_LD))
-        out = np.zeros_like(p)
-        nz = p > 0
-        out[nz] = p[nz] ** ld_alpha
-        return out if out.ndim else _LD(out)
-
-    return m
+    B = mode_matrix(grid) * mode_momenta(grid) ** (0.5 * alpha)
+    return B @ B.T
 
 
 def fractional_laplacian_matrix(coeffs: SpectralCoefficients, alpha: float) -> OperatorMatrix:
-    """Matrix of (-Laplacian)^(alpha/2) = |p|^alpha via the closed forms.
+    """Matrix of (-Laplacian)^(alpha/2) = |p|^alpha through the free modes.
 
     The n = 0 term is zero for every alpha > 0; alpha <= 0 is rejected.
     """
     if not np.isfinite(alpha) or alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha!r}")
-    return _even_closed_form(
-        coeffs.grid, _abs_power(alpha), label=f"|p|^{alpha:g}"
-    )
+    grid = coeffs.grid
+    return OperatorMatrix(grid=grid, entries=abs_power_entries(grid, alpha), label=f"|p|^{alpha:g}")
 
 
 def fractional_multiplier(alpha: float) -> SpectralMultiplier:

@@ -13,35 +13,12 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Lanczos approximation, g = 7, 9 coefficients; relative accuracy of
-# ln_gamma is a few 1e-15 over the range used here.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, by the Lanczos series."""
+    """log Gamma(x) for x > 0."""
     if not np.isfinite(x) or x <= 0:
         raise ParameterError(f"ln_gamma needs x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the series argument away from the poles
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    x -= 1.0
-    series = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        series += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(series)
+    return math.lgamma(x)
 
 
 def beta_function(a: float, b: float) -> float:

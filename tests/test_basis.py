@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from fraclap import (
     make_grid,
     quadrature_weights,
 )
+from fraclap.basis import mode_matrix, mode_numbers
 
 ALL_KINDS = list(BasisKind)
 
@@ -91,6 +96,39 @@ class TestCoefficients:
         a = coefficients(make_grid(kind, 4, 1.0)).values
         b = coefficients(make_grid(kind, 4, 7.3)).values
         assert np.abs(a - b).max() <= 1e-15
+
+
+class TestModes:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("N", [2, 7, 100])
+    def test_mode_matrix_orthogonal(self, kind, N):
+        grid = make_grid(kind, N, 1.3)
+        S = mode_matrix(grid)
+        assert S.shape == (grid.dim, len(mode_numbers(grid)))
+        assert np.abs(S.T @ S - np.eye(grid.dim)).max() <= 1e-13
+
+
+def test_collapse_real_raises_under_optimize():
+    # the residue check must survive python -O, which strips asserts
+    code = (
+        "import numpy as np\n"
+        "from fraclap.basis import _collapse_real\n"
+        "from fraclap.errors import NumericalError\n"
+        "try:\n"
+        "    _collapse_real(np.array([1.0 + 1.0j]))\n"
+        "except NumericalError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
 
 
 class TestSamplingFunctions:

@@ -226,6 +226,17 @@ class TestCliRun:
         result = runner.invoke(main, ["run", "--config", cfg])
         assert result.exit_code == 2
 
+    def test_overflowing_kinetic_term_exit_code(self, runner, tmp_path):
+        # (n pi / 2)^200 overflows double precision: a numerical failure,
+        # not a table of nan energies
+        cfg = _write_cfg(
+            tmp_path,
+            "mode = spectrum\nalpha = 200\nN = 20\nL = 1\npotential = x^2\n",
+        )
+        result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert not (tmp_path / "spectrum.csv").exists()
+
     def test_convergence_table(self, runner, tmp_path):
         cfg = _write_cfg(
             tmp_path,

@@ -9,6 +9,7 @@ from fraclap import (
     ContractError,
     DimensionError,
     HamiltonianSpec,
+    NumericalError,
     OperatorMatrix,
     Spectrum,
     assemble,
@@ -79,6 +80,20 @@ class TestEigendecompose:
     def test_rejects_non_square(self):
         with pytest.raises(ContractError):
             eigendecompose(_matrix(np.zeros((3, 4))))
+
+    def test_rejects_nan_on_diagonal(self):
+        # NaN compares False, so the symmetry check alone lets it through
+        A = np.eye(3)
+        A[1, 1] = np.nan
+        with pytest.raises(NumericalError):
+            eigendecompose(_matrix(A))
+
+    def test_rejects_inf_off_diagonal(self):
+        # an inf makes the symmetry tolerance infinite as well
+        A = np.eye(3)
+        A[0, 1] = A[1, 0] = np.inf
+        with pytest.raises(NumericalError):
+            eigendecompose(_matrix(A))
 
     def test_degenerate_pair_gets_definite_parity(self):
         # the free periodic problem is doubly degenerate above the ground

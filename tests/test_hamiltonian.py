@@ -106,9 +106,10 @@ class TestAssemble:
 
 
 class TestPms:
-    def test_trace_matches_full_assembly(self):
-        # the fast diagonal route must agree with trace(assemble(...))
-        spec = HamiltonianSpec(alpha=1.5, potential=HARMONIC, kind=BasisKind.DIRICHLET, N=10)
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_trace_matches_full_assembly(self, kind):
+        # the O(N) mode-sum trace must agree with trace(assemble(...))
+        spec = HamiltonianSpec(alpha=1.5, potential=HARMONIC, kind=kind, N=10)
         from fraclap.hamiltonian import _trace_of
 
         for L in (2.0, 5.0, 9.0):

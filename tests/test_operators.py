@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -108,14 +109,44 @@ class TestFractionalLaplacian:
         P[np.arange(grid.dim), perm] = signs
         assert np.abs(P @ M - M @ P).max() <= 1e-11
 
-    def test_dirichlet_free_spectrum_alpha_general(self):
-        # fractional box levels (n pi / 2L)^alpha are exact for LSF collocation
-        alpha, L = 1.3, 2.0
-        grid = make_grid(BasisKind.DIRICHLET, 10, L)
-        M = fractional_laplacian_matrix(coefficients(grid), alpha)
-        ev = np.sort(np.linalg.eigvalsh(M.entries))
-        exact = ((np.arange(1, grid.dim + 1) * np.pi) / (2 * L)) ** alpha
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_free_spectrum_alpha_general(self, kind):
+        # the free levels |n pi / 2L|^alpha over each kind's modes are exact
+        # for LSF collocation (for Dirichlet: the fractional box levels)
+        alpha, L, N = 1.3, 2.0, 10
+        modes = {
+            BasisKind.DIRICHLET: np.arange(1, 2 * N),
+            BasisKind.NEUMANN: np.arange(0, 2 * N + 1),
+            BasisKind.PERIODIC: np.arange(-2 * N, 2 * N + 1, 2),
+            BasisKind.ANTIPERIODIC: np.arange(1 - 2 * N, 2 * N, 2),
+        }[kind]
+        M = fractional_laplacian_matrix(_coeffs(kind, N, L), alpha)
+        ev = np.linalg.eigvalsh(M.entries)
+        exact = np.sort(np.abs(modes * np.pi / (2 * L)) ** alpha)
         assert np.abs(ev - exact).max() / exact.max() <= 1e-12
+
+    def test_dirichlet_entries_match_mpmath(self):
+        # oracle: the Toeplitz-minus-Hankel cosine sums of the Dirichlet
+        # kinetic matrix at 40 digits, entry (k, j) = A(k - j) - B(k + j)
+        N, alpha, L = 50, 3, math.pi
+        with mpmath.workdps(40):
+            p = [n * mpmath.pi / (2 * mpmath.mpf(L)) for n in range(1, 2 * N)]
+            m = [x**alpha for x in p]
+
+            def cosine_sum(d, sign):
+                return sum(
+                    sign**n * m[n - 1] * mpmath.cos(mpmath.pi * d * n / (2 * N))
+                    for n in range(1, 2 * N)
+                ) / (2 * N)
+
+            A = {d: cosine_sum(d, 1) for d in range(0, 2 * N - 1)}
+            B = {s: cosine_sum(s, -1) for s in range(2 - 2 * N, 2 * N - 1)}
+            grid = make_grid(BasisKind.DIRICHLET, N, L)
+            exact = np.array(
+                [[float(A[abs(k - j)] - B[k + j]) for j in grid.indices] for k in grid.indices]
+            )
+        M = fractional_laplacian_matrix(coefficients(grid), alpha).entries
+        assert np.abs(M - exact).max() <= 1e-15 * np.abs(exact).max()
 
     def test_antiperiodic_free_spectrum(self):
         # surviving momenta are the odd half-integers (2n-1) pi / 2L, doubled
