@@ -1,9 +1,10 @@
 """Dense symmetric eigendecomposition and eigenvector post-processing.
 
-Eigenvectors follow a fixed sign convention (largest-magnitude component
-positive) and numerically degenerate clusters are rotated onto parity
-eigenvectors so that even/odd labels stay well defined, e.g. for the free
-periodic modes that appear in the Mathieu problem at q = 0.
+When H commutes with the grid reflection x -> -x (every even potential does)
+it is folded into its even and odd blocks, each solved on its own, so every
+eigenvector has an exact parity, also inside the free periodic cos/sin pairs
+that are degenerate in the Mathieu problem at q = 0.  Eigenvectors follow a
+fixed sign convention (largest-magnitude component positive).
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ from .basis import (
 from .errors import ContractError, DimensionError, NumericalError
 from .operators import OperatorMatrix
 
-# Relative eigenvalue gap below which two states are treated as degenerate.
-_DEGENERACY_GAP = 1e-9
+# Largest |PHP - H| entry, relative to max|H|, for which H is split into
+# parity blocks; the reflection-odd rounding of even Hamiltonians is ~1e-15.
+_PARITY_TOL = 1e-14
 # Overlap with the minority parity above which a state is called mixed.
 _MIXED_THRESHOLD = 0.1
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 @dataclass
@@ -64,29 +67,78 @@ def _apply_parity(grid: Grid, V: np.ndarray) -> np.ndarray:
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(V), axis=0)
-    flip = V[idx, np.arange(V.shape[1])] < 0
-    V[:, flip] *= -1.0
+    """Flip each column whose first largest-magnitude component is negative.
+
+    Works from the column maxima and minima, in place, with no |V| copy.
+    """
+    cols = np.arange(V.shape[1])
+    hi, lo = V.argmax(axis=0), V.argmin(axis=0)
+    top, bottom = V[hi, cols], -V[lo, cols]
+    flip = (bottom > top) | ((bottom == top) & (lo < hi))
+    V *= np.where(flip, -1.0, 1.0)
     return V
 
 
-def _degenerate_clusters(w: np.ndarray):
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    clusters = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > _DEGENERACY_GAP * scale:
-            if i - start > 1:
-                clusters.append(slice(start, i))
-            start = i
-    return clusters
+def _parity_orbits(grid: Grid):
+    """Orbits of the grid reflection: fixed nodes by sign, and mirror pairs.
+
+    Returns (even_fixed, odd_fixed, a, b).  The centre node x = 0 is even;
+    the antiperiodic -L node is odd (P e_0 = -e_0).  Every other node a_i
+    (ascending) is paired with its mirror b_i.
+    """
+    perm, signs = parity_map(grid)
+    nodes = np.arange(grid.dim)
+    fixed = perm == nodes
+    a = nodes[perm > nodes]
+    return nodes[fixed & (signs > 0)], nodes[fixed & (signs < 0)], a, perm[a]
+
+
+def _commutes_with_parity(A: np.ndarray, grid: Grid, scale: float) -> bool:
+    perm, signs = parity_map(grid)
+    D = A.take(perm, axis=0).take(perm, axis=1)
+    D *= signs[:, None]
+    D *= signs
+    D -= A
+    return float(np.abs(D, out=D).max()) <= _PARITY_TOL * scale
+
+
+def _fold(A: np.ndarray, fixed, a, b, sign: float) -> np.ndarray:
+    """Block of A on the parity-``sign`` vectors e_f and (e_a + sign e_b)/sqrt2.
+
+    Fixed nodes come first, then the pairs; the pair-pair part is the 4-term
+    sum scaled once by 0.5, the fixed-pair part one 2-term sum times 1/sqrt2.
+    """
+    pp = 0.5 * (A[np.ix_(a, a)] + sign * A[np.ix_(a, b)] + sign * A[np.ix_(b, a)] + A[np.ix_(b, b)])
+    fp = (A[np.ix_(fixed, a)] + sign * A[np.ix_(fixed, b)]) * _SQRT_HALF
+    E = np.block([[A[np.ix_(fixed, fixed)], fp], [fp.T, pp]])
+    return 0.5 * (E + E.T)
+
+
+def _unfold(V: np.ndarray, Y: np.ndarray, cols, fixed, a, b, sign: float) -> None:
+    """Scatter block eigenvectors Y back onto the grid, into columns ``cols``."""
+    f = len(fixed)
+    V[np.ix_(fixed, cols)] = Y[:f]
+    half = Y[f:] * _SQRT_HALF
+    V[np.ix_(a, cols)] = half
+    V[np.ix_(b, cols)] = sign * half
+
+
+def _eigh(A: np.ndarray):
+    try:
+        return np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"eigendecomposition failed: {exc}")
 
 
 def eigendecompose(H: OperatorMatrix) -> Spectrum:
     """Full spectrum of a real symmetric operator matrix.
 
-    Degenerate clusters are re-orthogonalized against the parity operator,
-    then every eigenvector gets the positive-largest-component sign.
+    If H carries a grid and commutes with its reflection P (an even
+    potential), the even and odd blocks are solved separately and the two
+    spectra merged in ascending order by a stable sort, so an exact tie puts
+    the even state first; each eigenvector is then exactly even or odd.
+    Otherwise one full ``eigh`` is used.  Every eigenvector gets the
+    positive-largest-component sign.
     """
     A = np.asarray(H.entries, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -101,21 +153,26 @@ def eigendecompose(H: OperatorMatrix) -> Spectrum:
     if asym > 1e-10 * scale:
         raise ContractError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
 
-    try:
-        w, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigendecomposition failed: {exc}")
+    if H.grid is not None and _commutes_with_parity(A, H.grid, scale):
+        w, V = _parity_block_eigh(A, H.grid)
+    else:
+        w, V = _eigh(A)
+    return Spectrum(eigenvalues=w, eigenvectors=_fix_signs(V), grid=H.grid)
 
-    if H.grid is not None:
-        for cl in _degenerate_clusters(w):
-            Vc = V[:, cl]
-            S = Vc.T @ _apply_parity(H.grid, Vc)
-            S = 0.5 * (S + S.T)
-            _, W = np.linalg.eigh(S)
-            V[:, cl] = Vc @ W
 
-    V = _fix_signs(V)
-    return Spectrum(eigenvalues=w, eigenvectors=V, grid=H.grid)
+def _parity_block_eigh(A: np.ndarray, grid: Grid):
+    """Eigenpairs of a reflection-symmetric A from its even and odd blocks."""
+    even_fixed, odd_fixed, a, b = _parity_orbits(grid)
+    w_even, Y_even = _eigh(_fold(A, even_fixed, a, b, 1.0))
+    w_odd, Y_odd = _eigh(_fold(A, odd_fixed, a, b, -1.0))
+    w = np.concatenate((w_even, w_odd))
+    order = np.argsort(w, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    V = np.zeros_like(A)
+    _unfold(V, Y_even, column[: len(w_even)], even_fixed, a, b, 1.0)
+    _unfold(V, Y_odd, column[len(w_even):], odd_fixed, a, b, -1.0)
+    return w[order], V
 
 
 def classify_parity(spec: Spectrum) -> list:

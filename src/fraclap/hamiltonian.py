@@ -16,10 +16,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import BasisKind, make_grid, mode_momenta
-from .errors import EvaluationError, NumericalError, ParameterError
+from .errors import ConfigError, EvaluationError, NumericalError, ParameterError
 from .operators import OperatorMatrix, abs_power_entries
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Doublings of the box-size search beyond each edge of its bracket.
+_MAX_WIDENINGS = 8
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class PmsResult:
 
     L_pms: float
     trace_at_min: float
-    scan: tuple  # (L, trace) pairs from the coarse pre-scan
+    scan: tuple  # (L, trace) pairs of the coarse scan and its widenings, L ascending
     converged: bool
 
 
@@ -113,30 +115,53 @@ def _golden_minimize(f, a: float, b: float, c: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _minimize_scan(trace_fn, bracket, tol, scan_points=32) -> PmsResult:
-    lo, hi = bracket
-    if not (0 < lo < hi):
-        raise ParameterError(f"need 0 < L_lo < L_hi, got {bracket!r}")
-    Ls = np.linspace(lo, hi, scan_points)
+def _scan(trace_fn, Ls) -> np.ndarray:
     traces = np.array([trace_fn(L) for L in Ls])
     if not np.all(np.isfinite(traces)):
         bad = Ls[~np.isfinite(traces)][0]
         raise NumericalError(f"trace is not finite at L = {bad:g}")
-    scan = tuple(zip(Ls.tolist(), traces.tolist()))
-    i = int(np.argmin(traces))
-    if i == 0 or i == scan_points - 1:
-        # minimum sits on the bracket edge; caller must widen the bracket
-        return PmsResult(
-            L_pms=float(Ls[i]),
-            trace_at_min=float(traces[i]),
-            scan=scan,
-            converged=False,
-        )
+    return traces
+
+
+def _minimize_scan(trace_fn, bracket, tol, scan_points=32) -> PmsResult:
+    """Coarse scan over ``bracket``, widened while its minimum sits on an edge.
+
+    Each widening scans ``scan_points`` more points out to twice the upper
+    edge (or half the lower one), up to ``_MAX_WIDENINGS`` times per side.
+    The lowest scanned point and its two neighbours then bracket the
+    golden-section refinement.
+    """
+    lo, hi = bracket
+    if not (0 < lo < hi):
+        raise ParameterError(f"need 0 < L_lo < L_hi, got {bracket!r}")
+    Ls = np.linspace(lo, hi, scan_points)
+    traces = _scan(trace_fn, Ls)
+    widened = {"upper": 0, "lower": 0}
+    while True:
+        i = int(np.argmin(traces))
+        if 0 < i < len(Ls) - 1:
+            break
+        side = "upper" if i else "lower"
+        if widened[side] == _MAX_WIDENINGS:
+            raise ConfigError(
+                f"trace(H(L)) still falls at L = {Ls[i]:g}, the {side} limit of "
+                "the box-size search: no box size minimizes it. The potential is "
+                "most likely unbounded below (e.g. -x^2) or too weak to confine "
+                "the states; check it, or set L explicitly"
+            )
+        widened[side] += 1
+        edge = Ls[i]
+        new = np.linspace(edge, 2.0 * edge if i else 0.5 * edge, scan_points + 1)[1:]
+        new_traces = _scan(trace_fn, new)
+        if i:
+            Ls, traces = np.concatenate((Ls, new)), np.concatenate((traces, new_traces))
+        else:
+            Ls, traces = np.concatenate((new[::-1], Ls)), np.concatenate((new_traces[::-1], traces))
     L_best = _golden_minimize(trace_fn, Ls[i - 1], Ls[i], Ls[i + 1], tol)
     return PmsResult(
         L_pms=float(L_best),
         trace_at_min=float(trace_fn(L_best)),
-        scan=scan,
+        scan=tuple(zip(Ls.tolist(), traces.tolist())),
         converged=True,
     )
 
@@ -149,8 +174,11 @@ def find_pms_length(
     """Box size at the trace minimum (principle of minimal sensitivity).
 
     A 32-point coarse scan over ``bracket`` locates the minimum, which is
-    then refined by golden-section search to ``tol`` in L.  If the coarse
-    minimum lands on a bracket edge the result carries converged=False.
+    then refined by golden-section search to ``tol`` in L.  A minimum on a
+    bracket edge widens the scan geometrically beyond that edge; if the trace
+    still falls after ``_MAX_WIDENINGS`` doublings (L up to 256 times the
+    upper edge, or down to 1/256 of the lower one) a ``ConfigError`` names
+    the likely cause.  A returned result always has converged=True.
     """
     return _minimize_scan(lambda L: _trace_of(spec, L), bracket, tol)
 

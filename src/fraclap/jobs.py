@@ -82,11 +82,6 @@ def _solve(cfg: JobConfig, N: int):
     )
     if cfg.L is None:
         pms = find_pms_length(spec)
-        if not pms.converged:
-            raise NumericalError(
-                f"PMS scan found the trace minimum at a bracket edge (L = {pms.L_pms:g}); "
-                "widen the bracket"
-            )
         L_used = pms.L_pms
     else:
         pms = None

@@ -80,10 +80,13 @@ def abs_power_entries(grid: Grid, alpha: float) -> np.ndarray:
 
     With S the orthogonal mode matrix and p_n the mode momenta the matrix is
     S diag(p_n**alpha) S^T.  It is formed as B B^T with
-    B = S diag(p_n**(alpha/2)), which makes it exactly symmetric.
+    B = S diag(p_n**(alpha/2)), which makes it exactly symmetric.  An
+    overflow (alpha = 200, say) yields inf/nan entries without a numpy
+    warning; ``eigen.eigendecompose`` rejects them with a NumericalError.
     """
-    B = mode_matrix(grid) * mode_momenta(grid) ** (0.5 * alpha)
-    return B @ B.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = mode_matrix(grid) * mode_momenta(grid) ** (0.5 * alpha)
+        return B @ B.T
 
 
 def fractional_laplacian_matrix(coeffs: SpectralCoefficients, alpha: float) -> OperatorMatrix:

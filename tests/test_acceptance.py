@@ -4,7 +4,8 @@ Each check prints one ``ACCEPTANCE <id>: PASS/FAIL`` line (visible with
 ``pytest -s`` and in the captured output of failures) and then asserts.
 
 Two checks rest on independent oracles, because the benchmark statements
-leave their exact form open or state it wrongly:
+leave their exact form open or state it wrongly, and 2a, which sits at the
+rounding level of the eigensolver, has an mpmath oracle check beside it:
 
 * 6b fits the quartic alpha = 4/3 levels over n = 1..10.  H = |p|^(4/3) + x^4
   is unitarily equivalent, by Fourier transform, to |p|^4 + |x|^(4/3); a
@@ -21,6 +22,9 @@ leave their exact form open or state it wrongly:
   se_2n+2 (period pi) and ce_2n+1, se_2n+1 (period 2 pi).  The suite checks
   the states against scipy.special Mathieu functions at alpha = 2 and the
   tags against a plain FFT of the grid samples at every alpha.
+* 2a bounds |a0(40) - a0(30)| by 1e-14, the rounding level of the
+  eigensolver.  Beside it, a0 at N = 30 and 40 is compared with the 34-digit
+  mpmath eigenvalue of the even block of the same float64 matrix.
 """
 
 import math
@@ -115,6 +119,38 @@ class TestAcceptance2MathieuConvergence:
             f"alpha=1: |d(N=10)| = {d10:.2e}, |d(N=30)| = {d30:.2e}, "
             f"|a0(40) - a0(30)| = {d_conv:.2e}",
         )
+
+    def test_alpha_1_a0_matches_even_block_oracle(self):
+        # beside the convergence check above: a0 of the float64 matrix itself,
+        # against the 34-digit eigenvalue of its even block, where the
+        # (k, -k) mirror pairs are read from the grid indices
+        import mpmath
+
+        worst = 0.0
+        for N in (30, 40):
+            spec = HamiltonianSpec(
+                alpha=1.0,
+                potential=lambda x: 2.0 * math.cos(2.0 * x),
+                kind=BasisKind.PERIODIC,
+                N=N,
+            )
+            H = assemble(spec, math.pi)
+            pos = {int(k): p for p, k in enumerate(H.grid.indices)}
+            # even basis vectors: e_0 and (e_k + e_-k)/sqrt2, k = 1..N
+            basis = [[pos[0]]] + [[pos[k], pos[-k]] for k in range(1, N + 1)]
+            with mpmath.workdps(34):
+                A = [[mpmath.mpf(float(v)) for v in row] for row in H.entries]
+                weight = [1 / mpmath.sqrt(len(vec)) for vec in basis]
+                M = mpmath.matrix(len(basis), len(basis))
+                for i, vi in enumerate(basis):
+                    for j, vj in enumerate(basis):
+                        M[i, j] = weight[i] * weight[j] * mpmath.fsum(
+                            A[p][q] for p in vi for q in vj
+                        )
+                oracle = min(mpmath.eigsy(M, eigvals_only=True))
+                a0 = _mathieu_spectrum(1.0, N).eigenvalues[0]
+                worst = max(worst, abs(float(mpmath.mpf(float(a0)) - oracle)))
+        _report("2a-oracle", worst <= 4e-14, f"alpha=1: max |a0 - mpmath a0| = {worst:.2e}")
 
     def test_alpha_3_2_column(self):
         a0 = {N: _mathieu_spectrum(1.5, N).eigenvalues[0] for N in (10, 20)}

@@ -216,15 +216,16 @@ class TestCliRun:
         result = runner.invoke(main, ["run", "--config", cfg])
         assert result.exit_code == 1
 
-    def test_numerical_failure_exit_code(self, runner, tmp_path):
-        # a PMS bracket cannot be reached from the CLI, but an unbounded-below
-        # potential drives the trace minimum to the bracket edge
+    def test_unbounded_below_potential_exit_code(self, runner, tmp_path):
+        # the box-size search widens its bracket while the trace falls; an
+        # unbounded-below potential never stops falling: a config error
         cfg = _write_cfg(
             tmp_path,
             "mode = spectrum\nalpha = 1.5\nN = 8\npotential = -x^2\n",
         )
         result = runner.invoke(main, ["run", "--config", cfg])
-        assert result.exit_code == 2
+        assert result.exit_code == 1
+        assert "unbounded below" in result.output
 
     def test_overflowing_kinetic_term_exit_code(self, runner, tmp_path):
         # (n pi / 2)^200 overflows double precision: a numerical failure,
@@ -236,6 +237,20 @@ class TestCliRun:
         result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path)])
         assert result.exit_code == 2
         assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_overflow_emits_no_runtime_warning(self):
+        # the overflow is reported once, as a NumericalError, not preceded
+        # by numpy RuntimeWarnings
+        import warnings
+
+        from fraclap import NumericalError
+        from fraclap.jobs import run_job
+
+        cfg = _cfg(alpha="200", N="20", L="1", potential="x^2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError):
+                run_job(cfg)
 
     def test_convergence_table(self, runner, tmp_path):
         cfg = _write_cfg(
@@ -313,6 +328,27 @@ class TestCliRun:
         # q = 2 row must bracket the q = 0 degeneracies apart
         row2 = [float(v) for v in body[3].split(",")]
         assert row2[2] < row2[3]
+
+    def test_q_sweep_strong_coupling_matches_scipy(self, runner, tmp_path):
+        # at q = 20 a0 and b1 lie 3.9e-6 apart; each must carry its own value
+        from scipy import special
+
+        cfg = _write_cfg(
+            tmp_path,
+            "mode = q-sweep\npotential = mathieu(0)\nalpha = 2\nN = 200\n"
+            "q_min = 0\nq_max = 20\nq_steps = 3\n",
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        body = [
+            l for l in (out / "sweep.csv").read_text().splitlines() if not l.startswith("#")
+        ]
+        q, a0, b1 = (float(v) for v in body[3].split(",")[:3])
+        assert q == 20.0
+        assert a0 < b1
+        assert a0 == pytest.approx(special.mathieu_a(0, 20.0), abs=1e-10)
+        assert b1 == pytest.approx(special.mathieu_b(1, 20.0), abs=1e-10)
 
     def test_wkb_compare_metadata(self, runner, tmp_path):
         cfg = _write_cfg(

@@ -73,6 +73,18 @@ class TestEigendecompose:
             v = spec.eigenvectors[:, i]
             assert v[np.argmax(np.abs(v))] > 0
 
+    def test_sign_convention_on_magnitude_ties(self):
+        # odd states carry +-m at mirror nodes: the first of them is made positive
+        from fraclap.eigen import _fix_signs
+
+        V = np.array([[-0.5, 0.5, 0.1], [0.1, 0.0, -0.2], [0.5, -0.5, 0.2]])
+        expected = V.copy()
+        for j in range(V.shape[1]):
+            if expected[np.argmax(np.abs(expected[:, j])), j] < 0:
+                expected[:, j] *= -1.0
+        np.testing.assert_array_equal(_fix_signs(V.copy()), expected)
+        np.testing.assert_array_equal(expected[0, :2], [0.5, 0.5])
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ContractError):
             eigendecompose(_matrix([[1.0, 2.0], [0.0, 1.0]]))
@@ -97,11 +109,67 @@ class TestEigendecompose:
 
     def test_degenerate_pair_gets_definite_parity(self):
         # the free periodic problem is doubly degenerate above the ground
-        # state; after parity rotation every state must be pure even or odd
+        # state; solved in parity blocks, every state is pure even or odd
         spec_h = HamiltonianSpec(alpha=2.0, potential=FREE, kind=BasisKind.PERIODIC, N=8)
         spectrum = eigendecompose(assemble(spec_h, math.pi))
         labels = classify_parity(spectrum)
         assert all(parity in ("even", "odd") for parity, _ in labels)
+
+
+class TestParityBlocks:
+    def _mathieu_q20(self):
+        spec_h = HamiltonianSpec(
+            alpha=2.0,
+            potential=lambda x: 40.0 * math.cos(2.0 * x),
+            kind=BasisKind.PERIODIC,
+            N=200,
+        )
+        return assemble(spec_h, math.pi)
+
+    def test_mathieu_q20_residuals(self):
+        # a0 and b1 differ by 3.9e-6 at q = 20: both lowest pairs must be
+        # eigenpairs of H, not a rotation of them
+        H = self._mathieu_q20()
+        spectrum = eigendecompose(H)
+        V, w = spectrum.eigenvectors[:, :8], spectrum.eigenvalues[:8]
+        resid = np.linalg.norm(H.entries @ V - V * w, axis=0)
+        assert resid.max() <= 1e-9
+
+    def test_mathieu_q20_labels_follow_scipy(self):
+        from scipy import special
+
+        spectrum = eigendecompose(self._mathieu_q20())
+        labels = classify_parity(spectrum)
+        assert [p for p, _ in labels[:2]] == ["even", "odd"]
+        assert spectrum.eigenvalues[0] == pytest.approx(special.mathieu_a(0, 20.0), abs=1e-10)
+        assert spectrum.eigenvalues[1] == pytest.approx(special.mathieu_b(1, 20.0), abs=1e-10)
+
+    def test_free_periodic_pairs_split_by_parity(self):
+        # at q = 0 every level above the ground state holds one even and
+        # one odd state, whichever the rounding puts first
+        spec_h = HamiltonianSpec(alpha=2.0, potential=FREE, kind=BasisKind.PERIODIC, N=8)
+        spectrum = eigendecompose(assemble(spec_h, math.pi))
+        labels = [p for p, _ in classify_parity(spectrum)]
+        assert labels[0] == "even"
+        for i in range(1, len(labels), 2):
+            assert sorted(labels[i : i + 2]) == ["even", "odd"]
+            assert spectrum.eigenvalues[i + 1] - spectrum.eigenvalues[i] <= 1e-12
+
+    def test_uneven_potential_takes_full_route(self, monkeypatch):
+        import fraclap.eigen as eigen
+
+        def no_fold(*args):
+            raise AssertionError("an uneven H must not be folded")
+
+        monkeypatch.setattr(eigen, "_fold", no_fold)
+        spec_h = HamiltonianSpec(
+            alpha=1.5, potential=lambda x: x + x * x, kind=BasisKind.DIRICHLET, N=12
+        )
+        H = assemble(spec_h, 4.0)
+        spectrum = eigendecompose(H)
+        np.testing.assert_allclose(
+            spectrum.eigenvalues, np.linalg.eigvalsh(H.entries), rtol=0, atol=1e-12
+        )
 
 
 class TestParityMap:
@@ -115,9 +183,9 @@ class TestParityMap:
         # mirrored points are negatives of each other
         np.testing.assert_allclose(grid.points[perm], -grid.points, atol=1e-15)
 
-    def test_antiperiodic_square_is_minus_identity(self):
-        # reflection composed with itself flips the overall sign: the twist
-        # at the unpaired -L node carries sign -1 through both applications
+    def test_antiperiodic_reflection_is_involution(self):
+        # the unpaired -L node maps to itself with sign -1, so applying the
+        # reflection twice multiplies it by (-1)^2 = 1: P^2 is the identity
         grid = make_grid(BasisKind.ANTIPERIODIC, 4, 1.0)
         perm, signs = parity_map(grid)
         rng = np.random.default_rng(3)

@@ -1,0 +1,89 @@
+"""Property tests of the parity-block eigensolve over (kind, N, L, alpha).
+
+Even potentials are solved as two blocks; the result must be the spectrum of
+the whole matrix, orthonormal, and of exact parity state by state.  An
+uneven potential must take the full route and give the same spectrum.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraclap import BasisKind, HamiltonianSpec, assemble, eigendecompose, parity_map
+from fraclap.eigen import _commutes_with_parity
+
+
+def _even_potential(beta, q):
+    if beta is None:
+        return lambda x: 2.0 * q * math.cos(2.0 * x)
+    return lambda x: abs(x) ** beta
+
+
+cases = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(list(BasisKind)),
+        "N": st.integers(2, 60),
+        "L": st.floats(0.5, 20.0),
+        "alpha": st.floats(0.5, 3.0),
+        # beta None selects 2q cos 2x
+        "beta": st.one_of(st.none(), st.floats(0.5, 4.0)),
+        "q": st.floats(-5.0, 5.0),
+    }
+)
+
+
+def _hamiltonian(case, potential=None):
+    spec = HamiltonianSpec(
+        alpha=case["alpha"],
+        potential=potential or _even_potential(case["beta"], case["q"]),
+        kind=case["kind"],
+        N=case["N"],
+    )
+    return assemble(spec, case["L"])
+
+
+def _scale(H):
+    return max(1.0, float(np.abs(H.entries).max()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_blocks_give_the_whole_spectrum(case):
+    H = _hamiltonian(case)
+    spectrum = eigendecompose(H)
+    expected = np.linalg.eigvalsh(H.entries)
+    assert np.abs(spectrum.eigenvalues - expected).max() <= 1e-12 * _scale(H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_eigenvectors_orthonormal(case):
+    V = eigendecompose(_hamiltonian(case)).eigenvectors
+    assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_every_state_has_exact_parity(case):
+    # the unfolded vectors copy one block entry to both mirror nodes, so
+    # v - Pv or v + Pv vanishes exactly
+    spectrum = eigendecompose(_hamiltonian(case))
+    perm, signs = parity_map(spectrum.grid)
+    V = spectrum.eigenvectors
+    PV = signs[:, None] * V[perm]
+    impurity = np.minimum(np.abs(V - PV).max(axis=0), np.abs(V + PV).max(axis=0))
+    assert impurity.max() == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_uneven_potential_takes_full_route(case):
+    H = _hamiltonian(case, potential=lambda x: x + x * x)
+    assert not _commutes_with_parity(H.entries, H.grid, _scale(H))
+    spectrum = eigendecompose(H)
+    expected = np.linalg.eigvalsh(H.entries)
+    assert np.abs(spectrum.eigenvalues - expected).max() <= 1e-12 * _scale(H)
+    V = spectrum.eigenvectors
+    assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-12

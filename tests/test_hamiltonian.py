@@ -5,6 +5,7 @@ import pytest
 
 from fraclap import (
     BasisKind,
+    ConfigError,
     EvaluationError,
     HamiltonianSpec,
     ParameterError,
@@ -105,6 +106,15 @@ class TestAssemble:
             HamiltonianSpec(**kwargs)
 
 
+def _dirichlet_pms(alpha, c, beta, N):
+    # on the Dirichlet grid trace(H(L)) = A L^-alpha + c B L^beta, with A, B
+    # sums over the modes and the grid indices; it is stationary where
+    # alpha A L^-alpha = beta c B L^beta
+    A = sum((n * math.pi / 2) ** alpha for n in range(1, 2 * N))
+    B = sum(abs(k / N) ** beta for k in range(1 - N, N))
+    return (alpha * A / (beta * c * B)) ** (1 / (alpha + beta))
+
+
 class TestPms:
     @pytest.mark.parametrize("kind", list(BasisKind))
     def test_trace_matches_full_assembly(self, kind):
@@ -135,13 +145,46 @@ class TestPms:
         curvature = (_trace_of(spec, L + h) - 2 * _trace_of(spec, L) + _trace_of(spec, L - h)) / h**2
         assert abs(deriv) <= 1e-2 * abs(curvature * L)
 
-    def test_edge_minimum_flagged(self):
+    def test_edge_minimum_widens_bracket(self):
         # a bracket entirely to the left of the optimum puts the minimum on
-        # the right edge: converged must be False
+        # the right edge: the scan is widened past it and the search converges
         spec = HamiltonianSpec(alpha=1.5, potential=HARMONIC, kind=BasisKind.DIRICHLET, N=10)
         res = find_pms_length(spec, bracket=(0.5, 2.0))
-        assert not res.converged
-        assert res.L_pms == pytest.approx(2.0)
+        assert res.converged
+        assert res.scan[-1][0] > 2.0
+        assert res.L_pms == pytest.approx(_dirichlet_pms(1.5, 1.0, 2.0, 10), abs=2e-3)
+
+    @pytest.mark.parametrize(
+        "c, beta",
+        [
+            (1.0, 1.5),  # minimum near L = 41, past the default upper edge
+            (0.001, 2.0),  # near L = 141: two widenings
+            (1e6, 2.0),  # near L = 0.79, on the lower edge of the first scan
+        ],
+    )
+    def test_widened_search_finds_closed_form_minimum(self, c, beta):
+        spec = HamiltonianSpec(
+            alpha=2.0,
+            potential=lambda x: c * abs(x) ** beta,
+            kind=BasisKind.DIRICHLET,
+            N=200,
+        )
+        res = find_pms_length(spec)
+        assert res.converged
+        assert res.L_pms == pytest.approx(_dirichlet_pms(2.0, c, beta, 200), abs=2e-3)
+
+    def test_interior_minimum_keeps_single_scan(self):
+        spec = HamiltonianSpec(alpha=1.5, potential=HARMONIC, kind=BasisKind.DIRICHLET, N=10)
+        res = find_pms_length(spec)
+        assert len(res.scan) == 32
+        assert (res.scan[0][0], res.scan[-1][0]) == (0.5, 40.0)
+
+    def test_unbounded_below_is_config_error(self):
+        spec = HamiltonianSpec(
+            alpha=1.5, potential=lambda x: -x * x, kind=BasisKind.DIRICHLET, N=8
+        )
+        with pytest.raises(ConfigError, match="unbounded below"):
+            find_pms_length(spec)
 
     def test_bad_bracket(self):
         spec = HamiltonianSpec(alpha=1.5, potential=HARMONIC, kind=BasisKind.DIRICHLET, N=5)
