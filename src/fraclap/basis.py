@@ -125,10 +125,9 @@ def mode_momenta(grid: Grid) -> np.ndarray:
     return mode_numbers(grid) * np.pi / (2.0 * grid.L)
 
 
-def _unit_circle(phase: np.ndarray, period: int) -> np.ndarray:
-    """exp(2 pi i phase / period) for integer phases, by table lookup."""
-    angle = 2.0 * np.pi * np.arange(period) / period
-    return (np.cos(angle) + 1j * np.sin(angle))[phase % period]
+def _table(fn, period: int) -> np.ndarray:
+    """fn(2 pi m / period) for m = 0..period-1."""
+    return fn(2.0 * np.pi * np.arange(period) / period)
 
 
 def mode_matrix(grid: Grid) -> np.ndarray:
@@ -136,29 +135,35 @@ def mode_matrix(grid: Grid) -> np.ndarray:
 
     Columns follow ``mode_numbers``; rows are indexed by j = k + N.  Each
     phase is the integer j n (2j + 1 for Neumann) reduced modulo its period
-    before the table lookup, so no large trig argument and no rounded
-    multiple of pi enters.
+    before the lookup in a scaled sine or cosine table, so no large trig
+    argument and no rounded multiple of pi enters, and only the real table
+    each column needs is gathered.
     """
     N = grid.N
     j = (grid.indices + N)[:, None]
     n = mode_numbers(grid)[None, :]
     if grid.kind == BasisKind.DIRICHLET:
-        return _unit_circle(j * n, 4 * N).imag / np.sqrt(N)
+        phase = j * n
+        phase %= 4 * N
+        return (_table(np.sin, 4 * N) / np.sqrt(N))[phase]
     M = 2 * N + 1
     if grid.kind == BasisKind.NEUMANN:
-        S = _unit_circle((2 * j + 1) * n, 4 * M).real * np.sqrt(2.0 / M)
+        phase = (2 * j + 1) * n
+        phase %= 4 * M
+        S = (_table(np.cos, 4 * M) * np.sqrt(2.0 / M))[phase]
         S[:, 0] = 1.0 / np.sqrt(M)
         return S
     # the last 2N columns alternate cosine and sine of each mode pair
     if grid.kind == BasisKind.PERIODIC:
         S = np.empty((M, M))
         S[:, 0] = 1.0 / np.sqrt(M)
-        z = _unit_circle(j * n[:, 1::2], 2 * M) * np.sqrt(2.0 / M)
+        phase, period, scale = j * n[:, 1::2], 2 * M, np.sqrt(2.0 / M)
     else:  # ANTIPERIODIC
         S = np.empty((2 * N, 2 * N))
-        z = _unit_circle(j * n[:, ::2], 4 * N) / np.sqrt(N)
-    S[:, -2 * N::2] = z.real
-    S[:, 1 - 2 * N::2] = z.imag
+        phase, period, scale = j * n[:, ::2], 4 * N, 1.0 / np.sqrt(N)
+    phase %= period
+    S[:, -2 * N::2] = (_table(np.cos, period) * scale)[phase]
+    S[:, 1 - 2 * N::2] = (_table(np.sin, period) * scale)[phase]
     return S
 
 

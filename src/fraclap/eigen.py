@@ -231,6 +231,17 @@ def reconstruct(spec: Spectrum, i: int, resolution: int):
     return xs, interpolate(coeffs, v, xs)
 
 
+def _times_complex(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A @ z for a real matrix A and a complex vector z, by two real matvecs.
+
+    numpy would otherwise cast the whole of A to complex on every call.
+    """
+    out = np.empty(A.shape[0], dtype=complex)
+    out.real = A @ z.real
+    out.imag = A @ z.imag
+    return out
+
+
 def evolve(spec: Spectrum, psi0, hbar: float, t: float) -> np.ndarray:
     """Propagate grid samples psi0 to time t through the eigenbasis.
 
@@ -239,14 +250,9 @@ def evolve(spec: Spectrum, psi0, hbar: float, t: float) -> np.ndarray:
     carried forward by the phase exp(-i t E_n / hbar).  At t = 0 this
     returns psi0 itself (the eigenbasis is complete on the grid).
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (spec.grid.dim,):
-        raise DimensionError(
-            f"expected {spec.grid.dim} samples, got shape {psi0.shape}"
-        )
-    c = spec.eigenvectors.T @ psi0
+    c = evolution_coefficients(spec, psi0)
     phases = np.exp(-1j * t * spec.eigenvalues / hbar)
-    return spec.eigenvectors @ (phases * c)
+    return _times_complex(spec.eigenvectors, phases * c)
 
 
 def evolution_coefficients(spec: Spectrum, psi0) -> np.ndarray:
@@ -256,4 +262,4 @@ def evolution_coefficients(spec: Spectrum, psi0) -> np.ndarray:
         raise DimensionError(
             f"expected {spec.grid.dim} samples, got shape {psi0.shape}"
         )
-    return spec.eigenvectors.T @ psi0
+    return _times_complex(spec.eigenvectors.T, psi0)

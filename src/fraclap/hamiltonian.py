@@ -18,6 +18,7 @@ import numpy as np
 from .basis import BasisKind, make_grid, mode_momenta
 from .errors import ConfigError, EvaluationError, NumericalError, ParameterError
 from .operators import OperatorMatrix, abs_power_entries
+from .potential import PotentialExpr
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Doublings of the box-size search beyond each edge of its bracket.
@@ -52,20 +53,30 @@ class PmsResult:
     converged: bool
 
 
-def _potential_values(potential, points) -> np.ndarray:
-    fn = potential.evaluate if hasattr(potential, "evaluate") else potential
-    out = np.empty(len(points))
-    for i, x in enumerate(points):
-        try:
-            v = fn(float(x))
-        except EvaluationError:
-            raise
-        except Exception as exc:
-            raise EvaluationError(f"potential evaluation failed: {exc}", float(x))
-        if not np.isfinite(v):
-            raise EvaluationError(f"potential is not finite (got {v!r})", float(x))
-        out[i] = v
-    return out
+def sample_on_grid(fn, points, name: str = "potential") -> np.ndarray:
+    """fn at every grid point, raising EvaluationError at the first bad one.
+
+    A ``PotentialExpr`` is evaluated over all points in one call; any other
+    callable is called once per point.  A non-finite value fails too.
+    """
+    if isinstance(fn, PotentialExpr):
+        values = fn.evaluate(points)
+    else:
+        values = np.empty(len(points))
+        for i, x in enumerate(points):
+            try:
+                values[i] = fn(float(x))
+            except EvaluationError:
+                raise
+            except Exception as exc:
+                raise EvaluationError(f"{name} evaluation failed: {exc}", float(x))
+            if not np.isfinite(values[i]):
+                break  # reported below, as the first non-finite value
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EvaluationError(f"{name} is not finite (got {float(values[i])!r})", float(points[i]))
+    return values
 
 
 def assemble(spec: HamiltonianSpec, L: float) -> OperatorMatrix:
@@ -77,7 +88,7 @@ def assemble(spec: HamiltonianSpec, L: float) -> OperatorMatrix:
     grid = make_grid(spec.kind, spec.N, L)
     kinetic = abs_power_entries(grid, spec.alpha)
     prefactor = spec.d_alpha * spec.hbar ** spec.alpha
-    entries = prefactor * kinetic + np.diag(_potential_values(spec.potential, grid.points))
+    entries = prefactor * kinetic + np.diag(sample_on_grid(spec.potential, grid.points))
     return OperatorMatrix(
         grid=grid,
         entries=entries,
@@ -94,7 +105,7 @@ def _trace_of(spec: HamiltonianSpec, L: float) -> float:
     grid = make_grid(spec.kind, spec.N, L)
     kin = np.sum(mode_momenta(grid) ** spec.alpha)
     prefactor = spec.d_alpha * spec.hbar ** spec.alpha
-    return float(prefactor * kin + _potential_values(spec.potential, grid.points).sum())
+    return float(prefactor * kin + sample_on_grid(spec.potential, grid.points).sum())
 
 
 def _golden_minimize(f, a: float, b: float, c: float, tol: float) -> float:

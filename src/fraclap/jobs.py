@@ -3,7 +3,14 @@
 Every runner returns one or more ``ResultTable`` objects; the writers emit
 them as CSV (with a '#'-prefixed metadata header) or JSON (same fields,
 numbers as 15-significant-digit decimal strings).  Output is deterministic:
-identical configs produce byte-identical files.
+identical configs produce byte-identical files on one numpy/BLAS build at a
+fixed BLAS thread count.  The eigensolver's rounding depends on the thread
+count (e.g. OPENBLAS_NUM_THREADS), so a different count can change the last
+written digits.
+
+Built-in potentials (free, oscillator, mathieu) are expression trees like
+parsed ones, so every potential and every psi0 is sampled over the whole
+grid in one call.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from .basis import BasisKind, coefficients, make_grid
 from .config import JobConfig, Preset
 from .eigen import Spectrum, classify_parity, eigendecompose, evolution_coefficients, evolve
 from .errors import ConfigError, NumericalError
-from .hamiltonian import HamiltonianSpec, assemble, find_pms_length
-from .potential import parse
+from .hamiltonian import HamiltonianSpec, assemble, find_pms_length, sample_on_grid
+from .potential import BinOp, Call, Number, PotentialExpr, Variable, parse, to_source
 from .reference import WkbModel, wkb_energy
 
 _DIGITS = 15
@@ -42,17 +49,26 @@ class ResultTable:
     metadata: dict
 
 
+def _expr(ast) -> PotentialExpr:
+    return PotentialExpr(ast=ast, source=to_source(ast))
+
+
+def _mathieu(q: float) -> PotentialExpr:
+    """2q cos(2x), multiplied as (2 q) cos(2 x)."""
+    return _expr(BinOp("*", Number(2.0 * q), Call("cos", BinOp("*", Number(2.0), Variable()))))
+
+
 def _potential_callable(cfg: JobConfig):
-    """Callable V(x) plus a printable description of the potential."""
+    """The potential as an expression tree, plus a printable description."""
     pot = cfg.potential
     if isinstance(pot, Preset):
         if pot.name == "free":
-            return (lambda x: 0.0), "free"
+            return _expr(Number(0.0)), "free"
         if pot.name == "oscillator":
             beta = pot.parameter
-            return (lambda x: abs(x) ** beta), f"oscillator({beta:g})"
+            return _expr(BinOp("^", Call("abs", Variable()), Number(beta))), f"oscillator({beta:g})"
         q = pot.parameter
-        return (lambda x: 2.0 * q * math.cos(2.0 * x)), f"mathieu({q:g})"
+        return _mathieu(q), f"mathieu({q:g})"
     return parse(pot), pot
 
 
@@ -173,7 +189,7 @@ def _labeled_mathieu_states(alpha, N, q, d_alpha, hbar):
     """Spectrum of |p|^alpha + 2q cos(2z) on the periodic grid, L = pi."""
     spec = HamiltonianSpec(
         alpha=alpha,
-        potential=lambda x: 2.0 * q * math.cos(2.0 * x),
+        potential=_mathieu(q),
         kind=BasisKind.PERIODIC,
         N=N,
         d_alpha=d_alpha,
@@ -295,9 +311,8 @@ def run_wkb_compare(cfg: JobConfig) -> ResultTable:
 def run_evolve(cfg: JobConfig) -> list[ResultTable]:
     """Time evolution of an initial packet; one table per requested time."""
     spectrum, L_used, _, pot_text = _solve(cfg, cfg.N)
-    psi0_expr = parse(cfg.psi0)
     points = spectrum.grid.points
-    psi0 = np.array([psi0_expr.evaluate(float(x)) for x in points], dtype=complex)
+    psi0 = sample_on_grid(parse(cfg.psi0), points, "psi0")
     coeff_norm = float(np.sum(np.abs(evolution_coefficients(spectrum, psi0)) ** 2))
     tables = []
     for t in cfg.times:

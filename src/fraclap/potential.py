@@ -10,6 +10,10 @@ Grammar (LL(1), no implicit multiplication):
 
 '^' is right-associative and binds above '*' and '/'; unary minus binds
 below '^', so -x^2 means -(x^2).
+
+An expression evaluates at a scalar x or over an array of points in one
+walk of its tree, with numpy ufuncs throughout, so a point gives the same
+bits alone as inside an array.
 """
 
 from __future__ import annotations
@@ -17,14 +21,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EvaluationError, ParseError
 
 FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "abs": abs,
-    "sqrt": math.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "abs": np.abs,
+    "sqrt": np.sqrt,
+}
+
+_OPERATORS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
 }
 
 
@@ -63,13 +76,38 @@ class Call:
 
 @dataclass(frozen=True)
 class PotentialExpr:
-    """A parsed potential; evaluable at any real x."""
+    """A parsed potential, evaluable at a real x or an array of them."""
 
     ast: object
     source: str
 
-    def evaluate(self, x: float) -> float:
-        return _eval_node(self.ast, x)
+    def evaluate(self, x):
+        """V(x) as a float for a scalar x, else as an array of x's shape.
+
+        A domain failure raises ``EvaluationError`` at the first failing
+        point, with the message that evaluating that point alone gives.
+        """
+        points = np.asarray(x, dtype=float)
+        flat = points.reshape(-1)
+        with np.errstate(all="ignore"):
+            try:
+                values = _eval_node(self.ast, flat)
+            except _Failure as exc:
+                failure = exc
+                # A walk stops at the first node where any point fails, but an
+                # earlier point may fail at a later node: walk the points
+                # before the failing one again until they pass.  Each retry
+                # stops at a later node than the one before.
+                while failure.index:
+                    try:
+                        _eval_node(self.ast, flat[: failure.index])
+                        break
+                    except _Failure as earlier:
+                        failure = earlier
+                raise EvaluationError(failure.message, float(flat[failure.index])) from None
+        if np.ndim(values) == 0:  # the expression does not depend on x
+            values = np.full(flat.shape, values)
+        return float(values[0]) if points.ndim == 0 else values.reshape(points.shape)
 
     __call__ = evaluate
 
@@ -217,7 +255,28 @@ def parse(source: str) -> PotentialExpr:
     return PotentialExpr(ast=ast, source=source)
 
 
-def _eval_node(node, x: float) -> float:
+class _Failure(Exception):
+    """A domain failure at position ``index`` of the points being walked."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+        self.message = message
+
+
+def _fail_where(bad, x: np.ndarray, template: str, *operands) -> None:
+    """Raise _Failure at the first point where ``bad`` holds.
+
+    ``template`` is formatted with each operand's value at that point.
+    """
+    if np.any(bad):
+        i = int(np.argmax(np.broadcast_to(bad, x.shape)))
+        values = (float(np.broadcast_to(v, x.shape)[i]) for v in operands)
+        raise _Failure(i, template.format(*values))
+
+
+def _eval_node(node, x: np.ndarray):
+    """Value of ``node`` at the 1-d points x; a constant subtree gives a scalar."""
     if isinstance(node, Number):
         return node.value
     if isinstance(node, Variable):
@@ -225,42 +284,34 @@ def _eval_node(node, x: float) -> float:
     if isinstance(node, Constant):
         return math.pi
     if isinstance(node, Neg):
-        return -_eval_node(node.child, x)
+        return np.negative(_eval_node(node.child, x))
     if isinstance(node, Call):
         arg = _eval_node(node.arg, x)
-        if node.name == "sqrt" and arg < 0:
-            raise EvaluationError(f"sqrt of negative value {arg!r}", x)
-        try:
-            return FUNCTIONS[node.name](arg)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"{node.name} failed: {exc}", x)
+        if node.name == "sqrt":
+            _fail_where(arg < 0, x, "sqrt of negative value {!r}", arg)
+        value = FUNCTIONS[node.name](arg)
+        _fail_where(~np.isfinite(value), x, node.name + "({!r}) is not finite", arg)
+        return value
     if isinstance(node, BinOp):
         a = _eval_node(node.left, x)
         b = _eval_node(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
         if node.op == "/":
-            if b == 0:
-                raise EvaluationError("division by zero", x)
-            return a / b
-        # '^': a negative base requires an integer exponent to stay real
-        if a < 0 and b != int(b):
-            raise EvaluationError(
-                f"negative base {a!r} with non-integer exponent {b!r}", x
-            )
-        try:
-            return float(a**b)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvaluationError(f"power failed: {exc}", x)
+            _fail_where(b == 0, x, "division by zero")
+        if node.op != "^":
+            return _OPERATORS[node.op](a, b)
+        # a negative base requires an integer exponent to stay real
+        _fail_where(
+            (a < 0) & (b != np.trunc(b)), x,
+            "negative base {!r} with non-integer exponent {!r}", a, b,
+        )
+        value = np.power(a, b)
+        _fail_where(~np.isfinite(value), x, "power {!r}^{!r} is not finite", a, b)
+        return value
     raise TypeError(f"not an AST node: {node!r}")  # pragma: no cover
 
 
-def evaluate(expr: PotentialExpr, x: float) -> float:
-    """Evaluate a parsed potential at x."""
+def evaluate(expr: PotentialExpr, x):
+    """Evaluate a parsed potential at x, a scalar or an array."""
     return expr.evaluate(x)
 
 

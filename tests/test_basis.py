@@ -107,6 +107,37 @@ class TestModes:
         assert S.shape == (grid.dim, len(mode_numbers(grid)))
         assert np.abs(S.T @ S - np.eye(grid.dim)).max() <= 1e-13
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("N", [2, 7, 50])
+    def test_mode_matrix_matches_complex_table_route(self, kind, N):
+        # reference: gather exp(2 pi i phase / period) from one complex
+        # table and keep the real or imaginary part; the real gathers must
+        # reproduce it exactly
+        grid = make_grid(kind, N, 1.3)
+        j = (grid.indices + N)[:, None]
+        n = mode_numbers(grid)[None, :]
+
+        def unit_circle(phase, period):
+            angle = 2.0 * np.pi * np.arange(period) / period
+            return (np.cos(angle) + 1j * np.sin(angle))[phase % period]
+
+        M = 2 * N + 1
+        if kind == BasisKind.DIRICHLET:
+            expected = unit_circle(j * n, 4 * N).imag / np.sqrt(N)
+        elif kind == BasisKind.NEUMANN:
+            expected = unit_circle((2 * j + 1) * n, 4 * M).real * np.sqrt(2.0 / M)
+            expected[:, 0] = 1.0 / np.sqrt(M)
+        else:
+            expected = np.empty((grid.dim, grid.dim))
+            if kind == BasisKind.PERIODIC:
+                expected[:, 0] = 1.0 / np.sqrt(M)
+                z = unit_circle(j * n[:, 1::2], 2 * M) * np.sqrt(2.0 / M)
+            else:
+                z = unit_circle(j * n[:, ::2], 4 * N) / np.sqrt(N)
+            expected[:, -2 * N::2] = z.real
+            expected[:, 1 - 2 * N::2] = z.imag
+        np.testing.assert_array_equal(mode_matrix(grid), expected)
+
 
 def test_collapse_real_raises_under_optimize():
     # the residue check must survive python -O, which strips asserts

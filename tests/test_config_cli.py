@@ -1,13 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from fraclap import ConfigError
 from fraclap.cli import main
 from fraclap.config import Preset, build_job_config, parse_config_text
-from fraclap.jobs import fit_levels
+from fraclap.jobs import _potential_callable, fit_levels
 
 
 class TestParseConfigText:
@@ -141,6 +142,27 @@ def _write_cfg(tmp_path, text, name="job.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+class TestPresetPotentials:
+    # presets are expression trees, sampled over the grid in one call, in the
+    # arithmetic order of their formulas
+    def test_mathieu_matches_formula_bit_for_bit(self):
+        q = 1.7
+        expr, text = _potential_callable(_cfg(potential=f"mathieu({q})"))
+        x = np.linspace(-math.pi, math.pi, 401)
+        want = np.array([2.0 * q * math.cos(2.0 * v) for v in x])
+        np.testing.assert_array_equal(expr.evaluate(x), want)
+        assert text == "mathieu(1.7)"
+
+    def test_oscillator_and_free(self):
+        x = np.linspace(-3.0, 3.0, 61)
+        expr, text = _potential_callable(_cfg(potential="oscillator(1.5)"))
+        np.testing.assert_allclose(expr.evaluate(x), np.abs(x) ** 1.5, rtol=1e-15, atol=0)
+        assert text == "oscillator(1.5)"
+        free, text = _potential_callable(_cfg(potential="free"))
+        np.testing.assert_array_equal(free.evaluate(x), np.zeros_like(x))
+        assert text == "free"
 
 
 class TestCliRun:
@@ -305,6 +327,21 @@ class TestCliRun:
         x, re, im, abs2 = (float(v) for v in body[1].split(","))
         assert re == pytest.approx(math.exp(-x * x), abs=1e-9)
         assert im == pytest.approx(0.0, abs=1e-9)
+
+    def test_non_finite_psi0_exit_code(self, runner, tmp_path):
+        # exp(x + 700) is finite on the grid, its square is not: a config
+        # error naming the first grid point, and no table of nan rows
+        cfg = _write_cfg(
+            tmp_path,
+            "mode = evolve\npotential = oscillator(2)\nalpha = 2\nN = 15\nL = 8\n"
+            "psi0 = exp(x+700)*exp(x+700)\ntimes = 0, 0.5\n",
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 1
+        assert "psi0 is not finite" in result.output
+        assert f"x = {-8.0 * 14 / 15!r}" in result.output
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_q_sweep_table(self, runner, tmp_path):
         cfg = _write_cfg(

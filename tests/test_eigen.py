@@ -325,6 +325,18 @@ class TestEvolve:
         separate = 2.0 * evolve(spectrum, a, 1.0, t) + 3.0 * evolve(spectrum, b, 1.0, t)
         assert np.abs(combo - separate).max() <= 1e-12
 
+    def test_matches_complex_matvec_reference(self):
+        # evolve works from two real matvecs; the reference casts V to complex
+        spectrum = self._spectrum()
+        x = spectrum.grid.points
+        psi0 = np.exp(-(x**2)) * (1.0 + 0.5j * np.sin(3.0 * x))
+        V = spectrum.eigenvectors.astype(complex)
+        c = V.T @ psi0
+        assert np.abs(evolution_coefficients(spectrum, psi0) - c).max() <= 1e-14
+        t = 2.3
+        expected = V @ (np.exp(-1j * t * spectrum.eigenvalues) * c)
+        assert np.abs(evolve(spectrum, psi0, 1.0, t) - expected).max() <= 1e-14
+
     def test_shape_validation(self):
         spectrum = self._spectrum()
         with pytest.raises(DimensionError):

@@ -1,6 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fraclap import EvaluationError, ParseError, parse, to_source
@@ -74,6 +80,75 @@ class TestParseAndEvaluate:
     def test_overflow(self):
         with pytest.raises(EvaluationError):
             parse("exp(x)")(1e6)
+
+
+class TestArrayEvaluation:
+    def test_shape_and_type(self):
+        expr = parse("x^2 + 1")
+        x = np.array([[0.0, 1.0], [2.0, -3.0]])
+        np.testing.assert_array_equal(expr.evaluate(x), x**2 + 1)
+        assert type(expr.evaluate(2.0)) is float
+        # a constant expression fills the shape of x
+        np.testing.assert_array_equal(parse("pi").evaluate(np.zeros(3)), np.full(3, math.pi))
+
+    @pytest.mark.parametrize(
+        "source", ["exp(x)", "sin(x)", "cos(x)", "sqrt(abs(x))", "abs(x)^1.7", "x^3", "1 / x"]
+    )
+    def test_single_points_match_array_bit_for_bit(self, source):
+        # numpy's exp and power differ from libm on ~5% of arguments, so a
+        # scalar path through math would show here
+        expr = parse(source)
+        x = np.random.default_rng(0).uniform(-6.0, 6.0, 2000)
+        alone = np.array([expr.evaluate(v) for v in x])
+        np.testing.assert_array_equal(expr.evaluate(x).view(np.uint64), alone.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "source, xs, x_bad",
+        [
+            ("1 / x", [1.0, 0.0, -1.0, 0.0], 0.0),
+            ("sqrt(x)", [4.0, 1.0, -1.0, -2.0], -1.0),
+            ("x^0.5", [1.0, -2.0], -2.0),
+            ("exp(x)", [0.0, 1e6], 1e6),
+            ("x^400", [1.0, 10.0], 10.0),
+            ("x^(-1)", [2.0, 0.0], 0.0),
+            # the division fails first in tree order, but at a later point
+            ("1 / (x + 3) + sqrt(x - 5)", [6.0, 0.0, -3.0], 0.0),
+        ],
+    )
+    def test_failure_names_first_failing_point(self, source, xs, x_bad):
+        expr = parse(source)
+        with pytest.raises(EvaluationError) as alone:
+            expr(x_bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EvaluationError) as exc_info:
+                expr.evaluate(np.array(xs))
+        assert exc_info.value.x == x_bad
+        assert str(exc_info.value) == str(alone.value)
+
+
+def test_array_domain_checks_survive_optimize():
+    # the domain checks must not be asserts: python -O strips those
+    code = (
+        "import numpy as np\n"
+        "from fraclap import EvaluationError, parse\n"
+        "cases = [('1/x', 0.0), ('sqrt(x)', -1.0), ('x^0.5', -2.0), ('exp(x)', 1e6)]\n"
+        "for source, x in cases:\n"
+        "    try:\n"
+        "        parse(source).evaluate(np.array([1.0, x]))\n"
+        "    except EvaluationError as exc:\n"
+        "        print(exc.x)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0.0", "-1.0", "-2.0", "1000000.0"]
 
 
 class TestPrettyPrinter:
