@@ -167,34 +167,57 @@ def mode_matrix(grid: Grid) -> np.ndarray:
     return S
 
 
+def phase_period(grid: Grid) -> int:
+    """Integer period P with x_k = 4 L k / P on the grid.
+
+    So exp(i n pi x_k / (2L)) = exp(2 pi i n k / P): every exponential of
+    the expansion, sampled on the grid, is a P-th root of unity raised to the
+    integer power n k.
+    """
+    if grid.kind in (BasisKind.PERIODIC, BasisKind.NEUMANN):
+        return 2 * (2 * grid.N + 1)
+    return 4 * grid.N
+
+
 def coefficients(grid: Grid) -> SpectralCoefficients:
     """Coefficients C_n(k, N) of s_k in exp(i n pi x / (2L)), n = -2N..2N.
 
-    These depend only on the kind and on N, never on L.
+    These depend only on the kind and on N, never on L.  Every C_n(k, N) is
+    a sine or cosine of 2 pi m / period for an integer phase m, so, as in
+    ``mode_matrix``, the phases are reduced modulo their period and gathered
+    from one pre-scaled sine or cosine table:
+
+    - periodic, even n: exp(-2 pi i n k / P) / (2N + 1), odd n vanish;
+    - antiperiodic, odd n: exp(-2 pi i n k / P) / (2N), even n vanish;
+    - Dirichlet: i^(n-1) sin(2 pi n (k + N) / 4N) / (2N);
+    - Neumann: i^n cos(2 pi n (2k + 2N + 1) / (4(2N + 1))) / (2N + 1);
+
+    with P = ``phase_period(grid)``.
     """
     N = grid.N
     n = np.arange(-2 * N, 2 * N + 1)
     k = grid.indices[:, None]
-    nn = n[None, :]
+    M = 2 * N + 1
 
-    if grid.kind == BasisKind.PERIODIC:
-        sel = (1.0 + (-1.0) ** nn) / (2.0 * (2 * N + 1))
-        values = sel * np.exp(-1j * nn * k * np.pi / (2 * N + 1))
+    if grid.kind in (BasisKind.PERIODIC, BasisKind.ANTIPERIODIC):
+        period = phase_period(grid)
+        if grid.kind == BasisKind.PERIODIC:
+            cols, scale = n % 2 == 0, 1.0 / M
+        else:
+            cols, scale = n % 2 == 1, 1.0 / (2 * N)
+        phase = k * n[cols]
+        phase %= period
+        values = np.zeros((grid.dim, len(n)), dtype=complex)
+        values.real[:, cols] = (_table(np.cos, period) * scale)[phase]
+        values.imag[:, cols] = (_table(np.sin, period) * -scale)[phase]
     elif grid.kind == BasisKind.DIRICHLET:
-        values = (
-            _IPOW[(nn - 1) % 4]
-            * np.sin((0.5 + k / (2.0 * N)) * nn * np.pi)
-            / (2.0 * N)
-        )
-    elif grid.kind == BasisKind.ANTIPERIODIC:
-        sel = (1.0 - (-1.0) ** nn) / (4.0 * N)
-        values = sel * np.exp(-1j * nn * k * np.pi / (2 * N))
+        phase = (k + N) * n
+        phase %= 4 * N
+        values = _IPOW[(n - 1) % 4] * (_table(np.sin, 4 * N) / (2 * N))[phase]
     else:  # NEUMANN
-        values = (
-            _IPOW[nn % 4]
-            * np.cos((0.5 + k / (2.0 * N + 1)) * nn * np.pi)
-            / (2.0 * N + 1)
-        )
+        phase = (2 * k + M) * n
+        phase %= 4 * M
+        values = _IPOW[n % 4] * (_table(np.cos, 4 * M) / M)[phase]
 
     return SpectralCoefficients(grid=grid, values=values, n_values=n)
 

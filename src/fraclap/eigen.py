@@ -9,7 +9,7 @@ fixed sign convention (largest-magnitude component positive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +35,18 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 @dataclass
 class Spectrum:
-    """Ascending eigenvalues with orthonormal eigenvectors (as columns)."""
+    """Ascending eigenvalues with orthonormal eigenvectors (as columns).
+
+    ``parities`` holds +1 (even) or -1 (odd) per state when the spectrum
+    came from a parity-block solve, which fixes every state's parity
+    exactly; it is None after a full ``eigh``.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     grid: Grid
     labels: list | None = None
+    parities: np.ndarray | None = None
 
 
 def parity_map(grid: Grid):
@@ -153,15 +159,20 @@ def eigendecompose(H: OperatorMatrix) -> Spectrum:
     if asym > 1e-10 * scale:
         raise ContractError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
 
+    parities = None
     if H.grid is not None and _commutes_with_parity(A, H.grid, scale):
-        w, V = _parity_block_eigh(A, H.grid)
+        w, V, parities = _parity_block_eigh(A, H.grid)
     else:
         w, V = _eigh(A)
-    return Spectrum(eigenvalues=w, eigenvectors=_fix_signs(V), grid=H.grid)
+    return Spectrum(eigenvalues=w, eigenvectors=_fix_signs(V), grid=H.grid, parities=parities)
 
 
 def _parity_block_eigh(A: np.ndarray, grid: Grid):
-    """Eigenpairs of a reflection-symmetric A from its even and odd blocks."""
+    """Eigenpairs of a reflection-symmetric A from its even and odd blocks.
+
+    Returns (eigenvalues, eigenvectors, parities), parity +1 for a state of
+    the even block and -1 for one of the odd block.
+    """
     even_fixed, odd_fixed, a, b = _parity_orbits(grid)
     w_even, Y_even = _eigh(_fold(A, even_fixed, a, b, 1.0))
     w_odd, Y_odd = _eigh(_fold(A, odd_fixed, a, b, -1.0))
@@ -172,22 +183,37 @@ def _parity_block_eigh(A: np.ndarray, grid: Grid):
     V = np.zeros_like(A)
     _unfold(V, Y_even, column[: len(w_even)], even_fixed, a, b, 1.0)
     _unfold(V, Y_odd, column[len(w_even):], odd_fixed, a, b, -1.0)
-    return w[order], V
+    parities = np.where(order < len(w_even), 1, -1)
+    return w[order], V, parities
+
+
+def parity_signs(spec: Spectrum) -> np.ndarray:
+    """+1 for each even state, -1 for each odd one and 0 for a mixed one.
+
+    A parity-block spectrum carries its signs.  Otherwise each state's
+    weights on the even and odd subspaces, |v + Pv|^2 / 4 and |v - Pv|^2 / 4,
+    decide: mixed when both exceed the threshold, else the larger one.
+    """
+    if spec.parities is not None:
+        return spec.parities
+    V = spec.eigenvectors
+    PV = _apply_parity(spec.grid, V)
+    even_w = 0.25 * np.sum((V + PV) ** 2, axis=0)
+    odd_w = 0.25 * np.sum((V - PV) ** 2, axis=0)
+    mixed = (even_w > _MIXED_THRESHOLD) & (odd_w > _MIXED_THRESHOLD)
+    return np.where(mixed, 0, np.where(even_w >= odd_w, 1, -1))
 
 
 def classify_parity(spec: Spectrum) -> list:
     """Label each state 'even', 'odd' or 'mixed'; add a period tag on periodic grids.
 
-    The period tag compares the mass of each state on the free modes with
-    n/2 odd (minimal period 2L) against those with n/2 even (period L):
-    '2L' or 'L' for the dominant one, 'mixed' when both carry more than the
-    threshold share; None for non-periodic grids.  Results are stored on
-    ``spec.labels`` and returned.
+    The parity comes from ``parity_signs``.  The period tag compares the
+    mass of each state on the free modes with n/2 odd (minimal period 2L)
+    against those with n/2 even (period L): '2L' or 'L' for the dominant
+    one, 'mixed' when both carry more than the threshold share; None for
+    non-periodic grids.  Results are stored on ``spec.labels`` and returned.
     """
     V = spec.eigenvectors
-    PV = _apply_parity(spec.grid, V)
-    even_w = 0.25 * np.sum((V + PV) ** 2, axis=0)
-    odd_w = 0.25 * np.sum((V - PV) ** 2, axis=0)
     periods = [None] * V.shape[1]
     if spec.grid.kind == BasisKind.PERIODIC:
         mass = (mode_matrix(spec.grid).T @ V) ** 2
@@ -200,13 +226,8 @@ def classify_parity(spec: Spectrum) -> list:
             else ("2L" if f >= h else "L")
             for f, h, t in zip(full, half, total)
         ]
-    labels = []
-    for e, o, period in zip(even_w, odd_w, periods):
-        if e > _MIXED_THRESHOLD and o > _MIXED_THRESHOLD:
-            parity = "mixed"
-        else:
-            parity = "even" if e >= o else "odd"
-        labels.append((parity, period))
+    names = {1: "even", -1: "odd", 0: "mixed"}
+    labels = [(names[int(sign)], period) for sign, period in zip(parity_signs(spec), periods)]
     spec.labels = labels
     return labels
 

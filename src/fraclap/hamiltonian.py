@@ -10,12 +10,12 @@ over the mode momenta plus the potential samples, with no matrix built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .basis import BasisKind, make_grid, mode_momenta
+from .basis import BasisKind, Grid, make_grid, mode_momenta
 from .errors import ConfigError, EvaluationError, NumericalError, ParameterError
 from .operators import OperatorMatrix, abs_power_entries
 from .potential import PotentialExpr
@@ -79,21 +79,43 @@ def sample_on_grid(fn, points, name: str = "potential") -> np.ndarray:
     return values
 
 
-def assemble(spec: HamiltonianSpec, L: float) -> OperatorMatrix:
-    """Hamiltonian matrix on the (kind, N, L) grid.
+def _kinetic_entries(spec: HamiltonianSpec, grid: Grid) -> np.ndarray:
+    """D * hbar**alpha * |p|^alpha on ``grid``, as a new array.
 
-    The kinetic prefactor is D * hbar**alpha, from
-    (-hbar**2 Laplacian)^(alpha/2) = hbar**alpha |p|^alpha.
+    The prefactor follows from (-hbar**2 Laplacian)^(alpha/2) = hbar**alpha |p|^alpha.
+    """
+    entries = abs_power_entries(grid, spec.alpha)
+    entries *= spec.d_alpha * spec.hbar ** spec.alpha
+    return entries
+
+
+def _label(spec: HamiltonianSpec) -> str:
+    return f"D|p|^{spec.alpha:g} + V"
+
+
+def assemble(spec: HamiltonianSpec, L: float) -> OperatorMatrix:
+    """Hamiltonian matrix D * hbar**alpha * |p|^alpha + diag(V(x_k)) on the (kind, N, L) grid."""
+    grid = make_grid(spec.kind, spec.N, L)
+    entries = _kinetic_entries(spec, grid)
+    entries.flat[:: grid.dim + 1] += sample_on_grid(spec.potential, grid.points)
+    return OperatorMatrix(grid=grid, entries=entries, label=_label(spec))
+
+
+def assemble_sweep(spec: HamiltonianSpec, L: float, potentials: Iterable) -> Iterator[OperatorMatrix]:
+    """``assemble`` on one grid for each potential in turn, in place of ``spec.potential``.
+
+    The kinetic matrix does not depend on V, so it is built once; each step
+    writes its diagonal plus the new samples over the diagonal of the same
+    matrix, with the same bits as ``assemble``.  Every step yields that one
+    ``OperatorMatrix``, so a yielded matrix is valid only until the next step.
     """
     grid = make_grid(spec.kind, spec.N, L)
-    kinetic = abs_power_entries(grid, spec.alpha)
-    prefactor = spec.d_alpha * spec.hbar ** spec.alpha
-    entries = prefactor * kinetic + np.diag(sample_on_grid(spec.potential, grid.points))
-    return OperatorMatrix(
-        grid=grid,
-        entries=entries,
-        label=f"D|p|^{spec.alpha:g} + V",
-    )
+    entries = _kinetic_entries(spec, grid)
+    kinetic_diag = entries.diagonal().copy()
+    H = OperatorMatrix(grid=grid, entries=entries, label=_label(spec))
+    for potential in potentials:
+        entries.flat[:: grid.dim + 1] = kinetic_diag + sample_on_grid(potential, grid.points)
+        yield H
 
 
 def trace(H: OperatorMatrix) -> float:

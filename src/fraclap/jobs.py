@@ -17,17 +17,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .basis import BasisKind, coefficients, make_grid
+from .basis import BasisKind
 from .config import JobConfig, Preset
-from .eigen import Spectrum, classify_parity, eigendecompose, evolution_coefficients, evolve
+from .eigen import (
+    Spectrum,
+    classify_parity,
+    eigendecompose,
+    evolution_coefficients,
+    evolve,
+    parity_signs,
+)
 from .errors import ConfigError, NumericalError
-from .hamiltonian import HamiltonianSpec, assemble, find_pms_length, sample_on_grid
+from .hamiltonian import HamiltonianSpec, assemble, assemble_sweep, find_pms_length, sample_on_grid
 from .potential import BinOp, Call, Number, PotentialExpr, Variable, parse, to_source
 from .reference import WkbModel, wkb_energy
 
@@ -185,21 +192,11 @@ def run_pms_scan(cfg: JobConfig) -> ResultTable:
 _SWEEP_LABELS = ("a0", "b1", "a1", "b2", "a2", "b3", "a3")
 
 
-def _labeled_mathieu_states(alpha, N, q, d_alpha, hbar):
-    """Spectrum of |p|^alpha + 2q cos(2z) on the periodic grid, L = pi."""
-    spec = HamiltonianSpec(
-        alpha=alpha,
-        potential=_mathieu(q),
-        kind=BasisKind.PERIODIC,
-        N=N,
-        d_alpha=d_alpha,
-        hbar=hbar,
-    )
-    spectrum = eigendecompose(assemble(spec, math.pi))
-    classify_parity(spectrum)
-    # characteristic values by symmetry class, each ascending
-    even = [i for i, (p, _) in enumerate(spectrum.labels) if p == "even"]
-    odd = [i for i, (p, _) in enumerate(spectrum.labels) if p == "odd"]
+def _mathieu_picks(spectrum: Spectrum) -> dict:
+    """Spectrum index of each swept branch: a_n is the n-th even state, b_n the (n-1)-th odd one."""
+    signs = parity_signs(spectrum)
+    even = np.flatnonzero(signs == 1)
+    odd = np.flatnonzero(signs == -1)
     picks = {}
     for label in _SWEEP_LABELS:
         family = even if label.startswith("a") else odd
@@ -209,21 +206,33 @@ def _labeled_mathieu_states(alpha, N, q, d_alpha, hbar):
                 f"not enough pure-parity states to label {label} "
                 f"(some states classified as mixed); increase N"
             )
-        picks[label] = family[rank]
-    return spectrum, picks
+        picks[label] = int(family[rank])
+    return picks
 
 
 def run_q_sweep(cfg: JobConfig) -> ResultTable:
-    """Characteristic-value branches over a q range, labels tracked by overlap."""
+    """Characteristic-value branches over a q range, labels tracked by overlap.
+
+    |p|^alpha + 2q cos(2z) on the periodic grid at L = pi; the kinetic
+    matrix is built once for the whole sweep.
+    """
     q_min, q_max, steps = cfg.sweep
     qs = np.linspace(q_min, q_max, steps)
+    spec = HamiltonianSpec(
+        alpha=cfg.alpha,
+        potential=_mathieu(q_min),
+        kind=BasisKind.PERIODIC,
+        N=cfg.N,
+        d_alpha=cfg.d_alpha,
+        hbar=cfg.hbar,
+    )
+    hamiltonians = assemble_sweep(spec, math.pi, (_mathieu(float(q)) for q in qs))
     rows = []
     warnings = []
     prev_vectors = None
-    for q in qs:
-        spectrum, picks = _labeled_mathieu_states(
-            cfg.alpha, cfg.N, float(q), cfg.d_alpha, cfg.hbar
-        )
+    for q, H in zip(qs, hamiltonians):
+        spectrum = eigendecompose(H)
+        picks = _mathieu_picks(spectrum)
         vectors = {
             label: spectrum.eigenvectors[:, idx] for label, idx in picks.items()
         }

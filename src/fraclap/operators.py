@@ -11,12 +11,12 @@ is S diag(|p_n|^alpha) S^T, in plain double precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .basis import Grid, SpectralCoefficients, _exponential_table, mode_matrix, mode_momenta
+from .basis import Grid, SpectralCoefficients, mode_matrix, mode_momenta, phase_period
 from .errors import MultiplierDomainError, NumericalError, ParameterError
 
 
@@ -51,7 +51,10 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m) -> OperatorMatrix:
     """Collocation matrix of m(p) through the exponential expansion.
 
     Entry (k, j) is sum_n C_n(k, N) m(n pi / 2L) exp(i n pi x_j / 2L); the
-    imaginary parts must cancel and are dropped after a residue check.
+    imaginary parts must cancel and are dropped after a residue check.  On
+    the grid the exponential is exp(2 pi i n j / P) with the integer period
+    P of ``basis.phase_period``, so each row is one inverse DFT of length P
+    over the terms summed by n mod P.  Terms with C_n = 0 cost nothing.
     """
     m = _as_multiplier(m)
     grid = coeffs.grid
@@ -63,8 +66,15 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m) -> OperatorMatrix:
             raise MultiplierDomainError(p, v)
         values[i] = v
 
-    table = _exponential_table(coeffs, grid.points)
-    raw = (coeffs.values * values[None, :]) @ table
+    period = phase_period(grid)
+    terms = coeffs.values * values
+    folded = np.zeros((grid.dim, period), dtype=complex)
+    for start in range(0, terms.shape[1], period):
+        chunk = terms[:, start:start + period]
+        folded[:, :chunk.shape[1]] += chunk
+    # column c held n = n_0 + c (mod P); roll it to column n mod P
+    folded = np.roll(folded, int(coeffs.n_values[0]), axis=1)
+    raw = np.fft.ifft(folded, axis=1, norm="forward")[:, grid.indices % period]
     scale = max(1.0, float(np.abs(raw).max()))
     resid = float(np.abs(raw.imag).max())
     if resid > 1e-12 * scale:

@@ -66,6 +66,23 @@ class TestMakeGrid:
             make_grid(BasisKind.DIRICHLET, 5, bad_L)
 
 
+def _float_phase_coefficients(grid):
+    """C_n(k, N) from complex exp and sin/cos of float phases (the closed forms)."""
+    N = grid.N
+    nn = np.arange(-2 * N, 2 * N + 1)[None, :]
+    k = grid.indices[:, None]
+    ipow = np.array([1.0, 1.0j, -1.0, -1.0j])
+    if grid.kind == BasisKind.PERIODIC:
+        sel = (1.0 + (-1.0) ** nn) / (2.0 * (2 * N + 1))
+        return sel * np.exp(-1j * nn * k * np.pi / (2 * N + 1))
+    if grid.kind == BasisKind.DIRICHLET:
+        return ipow[(nn - 1) % 4] * np.sin((0.5 + k / (2.0 * N)) * nn * np.pi) / (2.0 * N)
+    if grid.kind == BasisKind.ANTIPERIODIC:
+        sel = (1.0 - (-1.0) ** nn) / (4.0 * N)
+        return sel * np.exp(-1j * nn * k * np.pi / (2 * N))
+    return ipow[nn % 4] * np.cos((0.5 + k / (2.0 * N + 1)) * nn * np.pi) / (2.0 * N + 1)
+
+
 class TestCoefficients:
     def test_periodic_k0_values(self):
         coeffs = coefficients(make_grid(BasisKind.PERIODIC, 2, 1.0))
@@ -96,6 +113,14 @@ class TestCoefficients:
         a = coefficients(make_grid(kind, 4, 1.0)).values
         b = coefficients(make_grid(kind, 4, 7.3)).values
         assert np.abs(a - b).max() <= 1e-15
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_float_phase_formula(self, kind):
+        # the integer-phase tables agree with the closed forms on float phases
+        for N in range(2, 61):
+            grid = make_grid(kind, N, 1.0)
+            got = coefficients(grid).values
+            assert np.abs(got - _float_phase_coefficients(grid)).max() <= 1e-15, N
 
 
 class TestModes:

@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fraclap import ConfigError
+from fraclap import (
+    BasisKind,
+    ConfigError,
+    HamiltonianSpec,
+    assemble,
+    classify_parity,
+    eigendecompose,
+    parse,
+)
 from fraclap.cli import main
 from fraclap.config import Preset, build_job_config, parse_config_text
-from fraclap.jobs import _potential_callable, fit_levels
+from fraclap.jobs import _potential_callable, fit_levels, run_q_sweep
 
 
 class TestParseConfigText:
@@ -163,6 +171,38 @@ class TestPresetPotentials:
         free, text = _potential_callable(_cfg(potential="free"))
         np.testing.assert_array_equal(free.evaluate(x), np.zeros_like(x))
         assert text == "free"
+
+
+class TestQSweep:
+    @pytest.mark.parametrize("N", [20, 200])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_rows_match_per_q_public_route(self, alpha, N):
+        # one kinetic matrix per sweep and block parities give the same bits
+        # as assembling, solving and classifying each q on its own
+        q_max, steps = 20.0, 5
+        table = run_q_sweep(
+            build_job_config(
+                {"mode": "q-sweep", "potential": "mathieu(0)", "alpha": str(alpha),
+                 "N": str(N), "q_min": "0", "q_max": str(q_max), "q_steps": str(steps)}
+            )
+        )
+        expected = []
+        for q in np.linspace(0.0, q_max, steps):
+            spec = HamiltonianSpec(
+                alpha=alpha,
+                potential=parse(f"{2.0 * float(q)!r}*cos(2*x)"),
+                kind=BasisKind.PERIODIC,
+                N=N,
+            )
+            spectrum = eigendecompose(assemble(spec, math.pi))
+            labels = classify_parity(spectrum)
+            even = [i for i, (p, _) in enumerate(labels) if p == "even"]
+            odd = [i for i, (p, _) in enumerate(labels) if p == "odd"]
+            picks = [even[0], odd[0], even[1], odd[1], even[2], odd[2], even[3]]
+            expected.append([float(q)] + [float(spectrum.eigenvalues[i]) for i in picks])
+        assert [[v.hex() for v in row] for row in table.rows] == [
+            [v.hex() for v in row] for row in expected
+        ]
 
 
 class TestCliRun:

@@ -1,8 +1,9 @@
 """Property tests of the parity-block eigensolve over (kind, N, L, alpha).
 
 Even potentials are solved as two blocks; the result must be the spectrum of
-the whole matrix, orthonormal, and of exact parity state by state.  An
-uneven potential must take the full route and give the same spectrum.
+the whole matrix, orthonormal, and of exact parity state by state, with the
+parity of each state carried on the spectrum.  An uneven potential must take
+the full route, give the same spectrum and still be labelled state by state.
 """
 
 import math
@@ -11,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap import BasisKind, HamiltonianSpec, assemble, eigendecompose, parity_map
+from fraclap import BasisKind, HamiltonianSpec, assemble, classify_parity, eigendecompose, parity_map
 from fraclap.eigen import _commutes_with_parity
 
 
@@ -48,6 +49,14 @@ def _scale(H):
     return max(1.0, float(np.abs(H.entries).max()))
 
 
+def _reflection_weights(spectrum):
+    """Weights |v + Pv|^2 / 4 and |v - Pv|^2 / 4 of each state on the even and odd subspaces."""
+    perm, signs = parity_map(spectrum.grid)
+    V = spectrum.eigenvectors
+    PV = signs[:, None] * V[perm]
+    return 0.25 * np.sum((V + PV) ** 2, axis=0), 0.25 * np.sum((V - PV) ** 2, axis=0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(cases)
 def test_blocks_give_the_whole_spectrum(case):
@@ -79,6 +88,15 @@ def test_every_state_has_exact_parity(case):
 
 @settings(max_examples=60, deadline=None)
 @given(cases)
+def test_block_parities_match_reflection_weights(case):
+    spectrum = eigendecompose(_hamiltonian(case))
+    even_w, odd_w = _reflection_weights(spectrum)
+    assert spectrum.parities is not None
+    np.testing.assert_array_equal(spectrum.parities, np.where(even_w > odd_w, 1, -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
 def test_uneven_potential_takes_full_route(case):
     H = _hamiltonian(case, potential=lambda x: x + x * x)
     assert not _commutes_with_parity(H.entries, H.grid, _scale(H))
@@ -87,3 +105,9 @@ def test_uneven_potential_takes_full_route(case):
     assert np.abs(spectrum.eigenvalues - expected).max() <= 1e-12 * _scale(H)
     V = spectrum.eigenvectors
     assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-12
+    # no block parities, so the labels come from the reflection weights
+    assert spectrum.parities is None
+    even_w, odd_w = _reflection_weights(spectrum)
+    mixed = (even_w > 0.1) & (odd_w > 0.1)
+    parities = np.where(mixed, "mixed", np.where(even_w >= odd_w, "even", "odd"))
+    assert [parity for parity, _ in classify_parity(spectrum)] == parities.tolist()
