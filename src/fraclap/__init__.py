@@ -7,16 +7,19 @@ fractional kinetic term acts as the spectral multiplier |p|^alpha.  Each
 sampling set is also a set of free modes with an orthogonal real transform
 to the grid samples (DST-I, DCT-II, real DFT, odd-harmonic real DFT), so the
 kinetic matrix is S diag(|p_n|^alpha) S^T, its trace a sum over the modes.
+Every Hamiltonian goes through one route: ``HamiltonianSpec`` -> ``assemble``
+-> ``eigendecompose``, with ``find_pms_length`` for the box size.  The
+momentum representation of |p|^alpha + x^2 is the same route with kinetic
+exponent 2 and potential |x|^alpha.
 
 Typical use:
 
 >>> import fraclap
->>> grid = fraclap.make_grid(fraclap.BasisKind.DIRICHLET, 50, 8.518)
 >>> spec = fraclap.HamiltonianSpec(alpha=1.5, potential=lambda x: x * x,
 ...                                kind=fraclap.BasisKind.DIRICHLET, N=50)
 >>> H = fraclap.assemble(spec, 8.518)
 >>> fraclap.eigendecompose(H).eigenvalues[:3]
-array([1.0026919 , 2.70818152, 4.17784097])
+array([1.00269171, 2.70818149, 4.17784088])
 """
 
 __version__ = "0.1.0"
@@ -55,14 +58,11 @@ from .hamiltonian import (
     HamiltonianSpec,
     PmsResult,
     assemble,
-    find_momentum_pms_length,
     find_pms_length,
-    momentum_space_oscillator,
     trace,
 )
 from .operators import (
     OperatorMatrix,
-    SpectralMultiplier,
     fractional_laplacian_matrix,
     fractional_multiplier,
     multiplier_matrix,
@@ -105,12 +105,9 @@ __all__ = [
     "HamiltonianSpec",
     "PmsResult",
     "assemble",
-    "find_momentum_pms_length",
     "find_pms_length",
-    "momentum_space_oscillator",
     "trace",
     "OperatorMatrix",
-    "SpectralMultiplier",
     "fractional_laplacian_matrix",
     "fractional_multiplier",
     "multiplier_matrix",

@@ -17,7 +17,7 @@ import numpy as np
 from .basis import BasisKind, coefficients, eval_sampling_function, make_grid
 from .config import build_job_config, parse_config_text
 from .eigen import eigendecompose, evolution_coefficients
-from .errors import ConfigError, EvaluationError, FraclapError, ParseError
+from .errors import ConfigError, EvaluationError, FraclapError, ParameterError, ParseError
 from .hamiltonian import HamiltonianSpec, assemble
 from .jobs import run_job, write_tables
 from .operators import fractional_laplacian_matrix, fractional_multiplier, multiplier_matrix
@@ -54,7 +54,8 @@ def run_command(config_path, overrides, out_dir):
     try:
         tables = run_job(cfg)
         paths = write_tables(tables, out_dir, cfg.out_format)
-    except (ConfigError, ParseError, EvaluationError) as exc:
+    # inside a job a ParameterError can only come from a config value (alpha, D, N, L)
+    except (ConfigError, ParseError, EvaluationError, ParameterError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
     except FraclapError as exc:

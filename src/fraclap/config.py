@@ -62,15 +62,16 @@ def _parse_potential(text: str):
     return text
 
 
-def _parse_float(pairs, key, default=None):
+def _parse_number(pairs, key, default=None, cast=float):
     if key not in pairs:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(pairs[key])
+        return cast(pairs[key])
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {pairs[key]!r}")
+        what = "an integer" if cast is int else "a number"
+        raise ConfigError(f"key {key!r}: expected {what}, got {pairs[key]!r}")
 
 
 def _parse_int_list(text: str, key: str) -> list[int]:
@@ -138,9 +139,9 @@ def build_job_config(pairs: dict[str, str]) -> JobConfig:
     else:
         basis = BasisKind.DIRICHLET
 
-    alpha = _parse_float(pairs, "alpha")
-    d_alpha = _parse_float(pairs, "D", 1.0)
-    hbar = _parse_float(pairs, "hbar", 1.0)
+    alpha = _parse_number(pairs, "alpha")
+    d_alpha = _parse_number(pairs, "D", 1.0)
+    hbar = _parse_number(pairs, "hbar", 1.0)
 
     if "N" not in pairs:
         raise ConfigError("missing required key 'N'")
@@ -160,17 +161,17 @@ def build_job_config(pairs: dict[str, str]) -> JobConfig:
         if L_text in ("", "pi"):
             L = math.pi
         else:
-            L = _parse_float(pairs, "L")
+            L = _parse_number(pairs, "L")
     elif L_text in ("", "pms"):
         if basis == BasisKind.PERIODIC:
             raise ConfigError("periodic problems fix L by the potential period; give L explicitly")
         L = None
     else:
-        L = _parse_float(pairs, "L")
+        L = _parse_number(pairs, "L")
         if L <= 0:
             raise ConfigError(f"L must be positive, got {L!r}")
 
-    n_states = int(_parse_float(pairs, "n_states", 4.0))
+    n_states = _parse_number(pairs, "n_states", 4, int)
     if n_states < 1:
         raise ConfigError(f"n_states must be >= 1, got {n_states}")
 
@@ -178,9 +179,9 @@ def build_job_config(pairs: dict[str, str]) -> JobConfig:
     if mode == "q-sweep":
         if not is_mathieu:
             raise ConfigError("q-sweep mode needs potential = mathieu(q)")
-        q_min = _parse_float(pairs, "q_min", 0.0)
-        q_max = _parse_float(pairs, "q_max")
-        steps = int(_parse_float(pairs, "q_steps"))
+        q_min = _parse_number(pairs, "q_min", 0.0)
+        q_max = _parse_number(pairs, "q_max")
+        steps = _parse_number(pairs, "q_steps", cast=int)
         if steps < 2:
             raise ConfigError(f"q_steps must be >= 2, got {steps}")
         if not q_min < q_max:
@@ -200,6 +201,8 @@ def build_job_config(pairs: dict[str, str]) -> JobConfig:
         times = tuple(_parse_float_list(pairs["times"], "times"))
         if not times:
             raise ConfigError("key 'times': empty list")
+        if not all(math.isfinite(t) for t in times):
+            raise ConfigError(f"key 'times': every time must be finite, got {pairs['times']!r}")
 
     if mode == "wkb-compare" and not (
         isinstance(potential, Preset) and potential.name == "oscillator"

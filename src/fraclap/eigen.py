@@ -33,7 +33,7 @@ _MIXED_THRESHOLD = 0.1
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Spectrum:
     """Ascending eigenvalues with orthonormal eigenvectors (as columns).
 
@@ -45,7 +45,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     grid: Grid
-    labels: list | None = None
     parities: np.ndarray | None = None
 
 
@@ -211,7 +210,7 @@ def classify_parity(spec: Spectrum) -> list:
     mass of each state on the free modes with n/2 odd (minimal period 2L)
     against those with n/2 even (period L): '2L' or 'L' for the dominant
     one, 'mixed' when both carry more than the threshold share; None for
-    non-periodic grids.  Results are stored on ``spec.labels`` and returned.
+    non-periodic grids.  Returns one (parity, period) pair per state.
     """
     V = spec.eigenvectors
     periods = [None] * V.shape[1]
@@ -227,9 +226,7 @@ def classify_parity(spec: Spectrum) -> list:
             for f, h, t in zip(full, half, total)
         ]
     names = {1: "even", -1: "odd", 0: "mixed"}
-    labels = [(names[int(sign)], period) for sign, period in zip(parity_signs(spec), periods)]
-    spec.labels = labels
-    return labels
+    return [(names[int(sign)], period) for sign, period in zip(parity_signs(spec), periods)]
 
 
 def reconstruct(spec: Spectrum, i: int, resolution: int):

@@ -89,16 +89,9 @@ def _kinetic_entries(spec: HamiltonianSpec, grid: Grid) -> np.ndarray:
     return entries
 
 
-def _label(spec: HamiltonianSpec) -> str:
-    return f"D|p|^{spec.alpha:g} + V"
-
-
 def assemble(spec: HamiltonianSpec, L: float) -> OperatorMatrix:
     """Hamiltonian matrix D * hbar**alpha * |p|^alpha + diag(V(x_k)) on the (kind, N, L) grid."""
-    grid = make_grid(spec.kind, spec.N, L)
-    entries = _kinetic_entries(spec, grid)
-    entries.flat[:: grid.dim + 1] += sample_on_grid(spec.potential, grid.points)
-    return OperatorMatrix(grid=grid, entries=entries, label=_label(spec))
+    return next(assemble_sweep(spec, L, (spec.potential,)))
 
 
 def assemble_sweep(spec: HamiltonianSpec, L: float, potentials: Iterable) -> Iterator[OperatorMatrix]:
@@ -106,13 +99,13 @@ def assemble_sweep(spec: HamiltonianSpec, L: float, potentials: Iterable) -> Ite
 
     The kinetic matrix does not depend on V, so it is built once; each step
     writes its diagonal plus the new samples over the diagonal of the same
-    matrix, with the same bits as ``assemble``.  Every step yields that one
-    ``OperatorMatrix``, so a yielded matrix is valid only until the next step.
+    matrix.  Every step yields that one ``OperatorMatrix``, so a yielded
+    matrix is valid only until the next step.
     """
     grid = make_grid(spec.kind, spec.N, L)
     entries = _kinetic_entries(spec, grid)
     kinetic_diag = entries.diagonal().copy()
-    H = OperatorMatrix(grid=grid, entries=entries, label=_label(spec))
+    H = OperatorMatrix(grid=grid, entries=entries)
     for potential in potentials:
         entries.flat[:: grid.dim + 1] = kinetic_diag + sample_on_grid(potential, grid.points)
         yield H
@@ -214,33 +207,3 @@ def find_pms_length(
     the likely cause.  A returned result always has converged=True.
     """
     return _minimize_scan(lambda L: _trace_of(spec, L), bracket, tol)
-
-
-def momentum_space_oscillator(alpha: float, N: int, L: float) -> OperatorMatrix:
-    """Fractional oscillator (beta = 2) in the momentum representation.
-
-    x**2 becomes -d^2/dp^2, discretized as the p**2 multiplier on a
-    Dirichlet grid in the momentum variable, while the kinetic term
-    |p|^alpha is diagonal.  Only the beta = 2 potential transforms this way.
-    """
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha!r}")
-    grid = make_grid(BasisKind.DIRICHLET, N, L)
-    entries = abs_power_entries(grid, 2.0) + np.diag(np.abs(grid.points) ** alpha)
-    return OperatorMatrix(grid=grid, entries=entries, label=f"p^2 + |p|^{alpha:g} (momentum rep)")
-
-
-def find_momentum_pms_length(
-    alpha: float,
-    N: int,
-    bracket: tuple[float, float] = (0.5, 150.0),
-    tol: float = 1e-3,
-) -> PmsResult:
-    """Trace-minimizing momentum half-width for the momentum-space oscillator."""
-
-    def trace_fn(L):
-        grid = make_grid(BasisKind.DIRICHLET, N, L)
-        kin = np.sum(mode_momenta(grid) ** 2)
-        return float(kin + np.sum(np.abs(grid.points) ** alpha))
-
-    return _minimize_scan(trace_fn, bracket, tol)

@@ -92,26 +92,23 @@ def _base_metadata(cfg: JobConfig, potential_text: str) -> dict:
     }
 
 
+def _spec(cfg: JobConfig, N: int, potential, kind: BasisKind) -> HamiltonianSpec:
+    return HamiltonianSpec(
+        alpha=cfg.alpha, potential=potential, kind=kind, N=N, d_alpha=cfg.d_alpha, hbar=cfg.hbar
+    )
+
+
 def _solve(cfg: JobConfig, N: int):
     """Assemble and diagonalize for one N; resolves L by PMS when needed."""
     fn, pot_text = _potential_callable(cfg)
-    spec = HamiltonianSpec(
-        alpha=cfg.alpha,
-        potential=fn,
-        kind=cfg.basis,
-        N=N,
-        d_alpha=cfg.d_alpha,
-        hbar=cfg.hbar,
-    )
+    spec = _spec(cfg, N, fn, cfg.basis)
     if cfg.L is None:
         pms = find_pms_length(spec)
         L_used = pms.L_pms
     else:
         pms = None
         L_used = cfg.L
-    spectrum = eigendecompose(assemble(spec, L_used))
-    classify_parity(spectrum)
-    return spectrum, L_used, pms, pot_text
+    return eigendecompose(assemble(spec, L_used)), L_used, pms, pot_text
 
 
 def _wkb_model(cfg: JobConfig) -> WkbModel | None:
@@ -128,10 +125,11 @@ def _wkb_model(cfg: JobConfig) -> WkbModel | None:
 def run_spectrum(cfg: JobConfig) -> ResultTable:
     """Lowest n_states levels with parity/period labels and a WKB column."""
     spectrum, L_used, pms, pot_text = _solve(cfg, cfg.N)
+    labels = classify_parity(spectrum)
     model = _wkb_model(cfg)
     rows = []
     for n in range(min(cfg.n_states, spectrum.grid.dim)):
-        parity, period = spectrum.labels[n]
+        parity, period = labels[n]
         rows.append(
             [
                 n,
@@ -171,15 +169,7 @@ def run_convergence(cfg: JobConfig) -> ResultTable:
 def run_pms_scan(cfg: JobConfig) -> ResultTable:
     """The coarse (L, trace) scan together with the refined minimum."""
     fn, pot_text = _potential_callable(cfg)
-    spec = HamiltonianSpec(
-        alpha=cfg.alpha,
-        potential=fn,
-        kind=cfg.basis,
-        N=cfg.N,
-        d_alpha=cfg.d_alpha,
-        hbar=cfg.hbar,
-    )
-    pms = find_pms_length(spec)
+    pms = find_pms_length(_spec(cfg, cfg.N, fn, cfg.basis))
     metadata = _base_metadata(cfg, pot_text)
     metadata["N"] = str(cfg.N)
     metadata["L_pms"] = _fmt(pms.L_pms)
@@ -218,14 +208,7 @@ def run_q_sweep(cfg: JobConfig) -> ResultTable:
     """
     q_min, q_max, steps = cfg.sweep
     qs = np.linspace(q_min, q_max, steps)
-    spec = HamiltonianSpec(
-        alpha=cfg.alpha,
-        potential=_mathieu(q_min),
-        kind=BasisKind.PERIODIC,
-        N=cfg.N,
-        d_alpha=cfg.d_alpha,
-        hbar=cfg.hbar,
-    )
+    spec = _spec(cfg, cfg.N, _mathieu(q_min), BasisKind.PERIODIC)
     hamiltonians = assemble_sweep(spec, math.pi, (_mathieu(float(q)) for q in qs))
     rows = []
     warnings = []
@@ -276,13 +259,6 @@ def fit_levels(ns, energies):
     slope, intercept = np.polyfit(ns, energies, 1)
     residuals = energies - (intercept + slope * ns)
     return float(intercept), float(slope), residuals
-
-
-def run_fit(cfg: JobConfig) -> tuple[float, float, np.ndarray]:
-    """Straight-line fit of the lowest n_states computed levels."""
-    spectrum, _, _, _ = _solve(cfg, cfg.N)
-    m = min(cfg.n_states, spectrum.grid.dim)
-    return fit_levels(np.arange(m), spectrum.eigenvalues[:m])
 
 
 def run_wkb_compare(cfg: JobConfig) -> ResultTable:

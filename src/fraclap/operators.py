@@ -21,33 +21,18 @@ from .errors import MultiplierDomainError, NumericalError, ParameterError
 
 
 @dataclass(frozen=True)
-class SpectralMultiplier:
-    """A real scalar function applied to the momentum spectrum."""
-
-    symbol: Callable[[float], float]
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class OperatorMatrix:
     """Dense real matrix of an operator on a sampling grid."""
 
     grid: Grid
     entries: np.ndarray
-    label: str = ""
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
 
-def _as_multiplier(m) -> SpectralMultiplier:
-    if isinstance(m, SpectralMultiplier):
-        return m
-    return SpectralMultiplier(symbol=m)
-
-
-def multiplier_matrix(coeffs: SpectralCoefficients, m) -> OperatorMatrix:
+def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float]) -> OperatorMatrix:
     """Collocation matrix of m(p) through the exponential expansion.
 
     Entry (k, j) is sum_n C_n(k, N) m(n pi / 2L) exp(i n pi x_j / 2L); the
@@ -56,12 +41,11 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m) -> OperatorMatrix:
     P of ``basis.phase_period``, so each row is one inverse DFT of length P
     over the terms summed by n mod P.  Terms with C_n = 0 cost nothing.
     """
-    m = _as_multiplier(m)
     grid = coeffs.grid
     momenta = coeffs.n_values * np.pi / (2.0 * grid.L)
     values = np.empty(len(momenta))
     for i, p in enumerate(momenta):
-        v = m.symbol(p)
+        v = m(p)
         if np.iscomplexobj(v) or not np.isfinite(v):
             raise MultiplierDomainError(p, v)
         values[i] = v
@@ -81,8 +65,7 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m) -> OperatorMatrix:
         raise NumericalError(
             f"imaginary residue {resid:.3e} left after multiplier assembly"
         )
-    label = m.label or "m(p)"
-    return OperatorMatrix(grid=grid, entries=np.ascontiguousarray(raw.real), label=label)
+    return OperatorMatrix(grid=grid, entries=np.ascontiguousarray(raw.real))
 
 
 def abs_power_entries(grid: Grid, alpha: float) -> np.ndarray:
@@ -107,14 +90,11 @@ def fractional_laplacian_matrix(coeffs: SpectralCoefficients, alpha: float) -> O
     if not np.isfinite(alpha) or alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha!r}")
     grid = coeffs.grid
-    return OperatorMatrix(grid=grid, entries=abs_power_entries(grid, alpha), label=f"|p|^{alpha:g}")
+    return OperatorMatrix(grid=grid, entries=abs_power_entries(grid, alpha))
 
 
-def fractional_multiplier(alpha: float) -> SpectralMultiplier:
+def fractional_multiplier(alpha: float) -> Callable[[float], float]:
     """|p|^alpha as a generic multiplier (the slow, general route)."""
     if not np.isfinite(alpha) or alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha!r}")
-    return SpectralMultiplier(
-        symbol=lambda p: abs(p) ** alpha if p != 0 else 0.0,
-        label=f"|p|^{alpha:g}",
-    )
+    return lambda p: abs(p) ** alpha if p != 0 else 0.0

@@ -44,13 +44,12 @@ from fraclap import (
     evolution_coefficients,
     evolve,
     exact_box_energy,
-    find_momentum_pms_length,
     find_pms_length,
     fractional_laplacian_matrix,
     fractional_multiplier,
     make_grid,
-    momentum_space_oscillator,
     multiplier_matrix,
+    parse,
 )
 from fraclap.basis import eval_sampling_function
 from fraclap.jobs import fit_levels
@@ -68,9 +67,7 @@ def _mathieu_spectrum(alpha, N, q=1.0):
         kind=BasisKind.PERIODIC,
         N=N,
     )
-    spectrum = eigendecompose(assemble(spec, math.pi))
-    classify_parity(spectrum)
-    return spectrum
+    return eigendecompose(assemble(spec, math.pi))
 
 
 # four lowest characteristic values (a0, b1, a1, b2) at q = 1, N = 50
@@ -194,8 +191,12 @@ class TestAcceptance3FractionalOscillator:
 
 class TestAcceptance4MomentumSpaceCrossCheck:
     def test_n500(self):
-        res = find_momentum_pms_length(1.5, 500)
-        ev = np.sort(np.linalg.eigvalsh(momentum_space_oscillator(1.5, 500, res.L_pms).entries))
+        # |p|^1.5 + x^2 in the momentum representation is p^2 + |x|^1.5
+        spec = HamiltonianSpec(
+            alpha=2.0, potential=parse(f"abs(x)^{1.5!r}"), kind=BasisKind.DIRICHLET, N=500
+        )
+        res = find_pms_length(spec, bracket=(0.5, 150.0))
+        ev = eigendecompose(assemble(spec, res.L_pms)).eigenvalues
         expected = np.array([1.000989809, 2.708093424, 4.17706229])
         worst = float(np.abs(ev[:3] - expected).max())
         _report("4", worst <= 1e-6, f"N=500 momentum solve, max |delta| = {worst:.2e}")
@@ -354,7 +355,7 @@ class TestAcceptance8ParityAndPeriodLabels:
         expected = ("even", "odd", "even", "odd")
         bad = []
         for alpha, spectrum in mathieu_n50.items():
-            got = tuple(p for p, _ in spectrum.labels[:4])
+            got = tuple(p for p, _ in classify_parity(spectrum)[:4])
             if got != expected:
                 bad.append(f"alpha={alpha:g}: {got}")
         _report("8a", not bad, "parity (even, odd, even, odd)" if not bad else "; ".join(bad))
@@ -365,7 +366,7 @@ class TestAcceptance8ParityAndPeriodLabels:
         expected = ("L", "2L", "2L", "L")
         bad = []
         for alpha, spectrum in mathieu_n50.items():
-            got = tuple(period for _, period in spectrum.labels[:4])
+            got = tuple(period for _, period in classify_parity(spectrum)[:4])
             if got != expected:
                 bad.append(f"alpha={alpha:g}: {got}")
         _report(
@@ -397,7 +398,7 @@ class TestAcceptance8ParityAndPeriodLabels:
             power = np.abs(np.fft.fft(V, axis=0)) ** 2
             power /= power.sum(axis=0)
             odd = np.rint(np.fft.fftfreq(dim) * dim).astype(int) % 2 == 1
-            for i, (_, period) in enumerate(spectrum.labels[:4]):
+            for i, (_, period) in enumerate(classify_parity(spectrum)[:4]):
                 assert period in ("L", "2L"), f"alpha={alpha:g}, state {i}: {period!r}"
                 stray = power[~odd, i] if period == "2L" else power[odd, i]
                 assert stray.sum() <= 1e-20, f"alpha={alpha:g}, state {i} ({period}): {stray.sum():.2e}"

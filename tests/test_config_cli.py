@@ -12,11 +12,12 @@ from fraclap import (
     assemble,
     classify_parity,
     eigendecompose,
+    find_pms_length,
     parse,
 )
 from fraclap.cli import main
 from fraclap.config import Preset, build_job_config, parse_config_text
-from fraclap.jobs import _potential_callable, fit_levels, run_q_sweep
+from fraclap.jobs import _potential_callable, fit_levels, run_q_sweep, run_spectrum
 
 
 class TestParseConfigText:
@@ -205,6 +206,44 @@ class TestQSweep:
         ]
 
 
+class TestSpectrumRows:
+    @pytest.mark.parametrize(
+        "basis, L, potential",
+        [
+            ("dirichlet", "pms", "x^2"),
+            ("neumann", "pms", "x^2"),
+            ("antiperiodic", "pms", "x^2"),
+            ("periodic", "3", "x^2"),
+            ("dirichlet", "4", "5*x"),  # uneven: some states are mixed
+        ],
+    )
+    def test_rows_match_public_route(self, basis, L, potential):
+        # the job labels its spectrum with the same bits as assembling,
+        # solving and classifying through the public functions
+        table = run_spectrum(
+            build_job_config(
+                {"mode": "spectrum", "basis": basis, "alpha": "1.5", "N": "12",
+                 "L": L, "potential": potential, "n_states": "100"}
+            )
+        )
+        spec = HamiltonianSpec(alpha=1.5, potential=parse(potential), kind=BasisKind(basis), N=12)
+        L_used = find_pms_length(spec).L_pms if L == "pms" else float(L)
+        spectrum = eigendecompose(assemble(spec, L_used))
+        before = {name: np.copy(getattr(spectrum, name)) for name in ("eigenvalues", "eigenvectors")}
+        parities = spectrum.parities
+        labels = classify_parity(spectrum)
+        for name, value in before.items():
+            np.testing.assert_array_equal(getattr(spectrum, name), value)
+        assert spectrum.parities is parities
+        assert set(vars(spectrum)) == {"eigenvalues", "eigenvectors", "grid", "parities"}
+        expected = [
+            [n, float(e).hex(), "", parity, period or ""]
+            for n, (e, (parity, period)) in enumerate(zip(spectrum.eigenvalues, labels))
+        ]
+        assert [[n, e.hex(), w, p, t] for n, e, w, p, t in table.rows] == expected
+        assert ("mixed" in [p for p, _ in labels]) == (potential == "5*x")
+
+
 class TestCliRun:
     def test_spectrum_csv_schema(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, SPECTRUM_CFG)
@@ -265,6 +304,35 @@ class TestCliRun:
         cfg = _write_cfg(tmp_path, "mode = bogus\nalpha = 1\nN = 5\n")
         result = runner.invoke(main, ["run", "--config", cfg])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "base, override",
+        [
+            ("spectrum", "n_states=inf"),
+            ("spectrum", "n_states=nan"),
+            ("spectrum", "n_states=2.7"),
+            ("q-sweep", "q_steps=inf"),
+            ("spectrum", "alpha=-1"),
+            ("spectrum", "alpha=nan"),
+            ("spectrum", "D=0"),
+            ("spectrum", "N=1"),
+            ("spectrum", "L=inf"),
+            ("evolve", "times=0,nan"),
+            ("evolve", "times=inf"),
+        ],
+    )
+    def test_out_of_domain_value_exit_code(self, runner, tmp_path, base, override):
+        text = {
+            "spectrum": "mode = spectrum\npotential = x^2\nalpha = 1.5\nN = 8\n",
+            "q-sweep": "mode = q-sweep\npotential = mathieu(1)\nalpha = 1.5\nN = 8\nq_max = 2\nq_steps = 3\n",
+            "evolve": "mode = evolve\npotential = x^2\nalpha = 1.5\nN = 8\nL = 5\npsi0 = exp(-x^2)\ntimes = 0\n",
+        }[base]
+        cfg = _write_cfg(tmp_path, text)
+        result = runner.invoke(main, ["run", "--config", cfg, "--set", override, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "config error:" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
     def test_bad_set_exit_code(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, SPECTRUM_CFG)

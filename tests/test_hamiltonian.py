@@ -12,13 +12,15 @@ from fraclap import (
     assemble,
     coefficients,
     eigendecompose,
-    find_momentum_pms_length,
     find_pms_length,
     fractional_laplacian_matrix,
     make_grid,
-    momentum_space_oscillator,
+    parse,
     trace,
 )
+from fraclap.basis import mode_momenta
+from fraclap.hamiltonian import _minimize_scan
+from fraclap.operators import abs_power_entries
 
 FREE = lambda x: 0.0
 HARMONIC = lambda x: x * x
@@ -203,12 +205,18 @@ class TestPms:
         assert near < 0.1 * far
 
 
+def _momentum_spec(alpha, N):
+    """|p|^alpha + x^2 in the momentum representation: kinetic p^2, potential |x|^alpha."""
+    return HamiltonianSpec(
+        alpha=2.0, potential=parse(f"abs(x)^{alpha!r}"), kind=BasisKind.DIRICHLET, N=N
+    )
+
+
 class TestMomentumSpace:
     def test_alpha2_gives_harmonic_levels(self):
         # alpha = 2 in the momentum representation is again p^2 + p^2-type
         # oscillator: levels 2n + 1 after the x <-> p swap
-        H = momentum_space_oscillator(2.0, 40, 8.0)
-        ev = np.sort(np.linalg.eigvalsh(H.entries))[:5]
+        ev = eigendecompose(assemble(_momentum_spec(2.0, 40), 8.0)).eigenvalues[:5]
         np.testing.assert_allclose(ev, [1, 3, 5, 7, 9], atol=1e-8)
 
     def test_matches_position_space(self):
@@ -219,10 +227,23 @@ class TestMomentumSpace:
         )
         L = find_pms_length(pos_spec).L_pms
         pos = eigendecompose(assemble(pos_spec, L)).eigenvalues[:3]
-        mom_L = find_momentum_pms_length(1.5, 60, bracket=(0.5, 40.0)).L_pms
-        mom = np.sort(np.linalg.eigvalsh(momentum_space_oscillator(1.5, 60, mom_L).entries))[:3]
+        mom_spec = _momentum_spec(1.5, 60)
+        mom_L = find_pms_length(mom_spec, bracket=(0.5, 40.0)).L_pms
+        mom = eigendecompose(assemble(mom_spec, mom_L)).eigenvalues[:3]
         assert np.abs(pos - mom).max() <= 5e-3
 
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ParameterError):
-            momentum_space_oscillator(-1.0, 10, 5.0)
+    @pytest.mark.parametrize("alpha, N", [(1.2, 100), (1.5, 60), (1.5, 500), (2.0, 40)])
+    def test_general_route_matches_dedicated_formulas(self, alpha, N):
+        # the p^2 matrix plus the |x|^alpha diagonal, and the mode-sum trace,
+        # written out directly: the general route must give the same bits
+        def dedicated_trace(L):
+            grid = make_grid(BasisKind.DIRICHLET, N, L)
+            kin = np.sum(mode_momenta(grid) ** 2)
+            return float(kin + np.sum(np.abs(grid.points) ** alpha))
+
+        spec = _momentum_spec(alpha, N)
+        res = find_pms_length(spec, bracket=(0.5, 150.0))
+        assert res == _minimize_scan(dedicated_trace, (0.5, 150.0), 1e-3)
+        grid = make_grid(BasisKind.DIRICHLET, N, res.L_pms)
+        dedicated = abs_power_entries(grid, 2.0) + np.diag(np.abs(grid.points) ** alpha)
+        np.testing.assert_array_equal(assemble(spec, res.L_pms).entries, dedicated)

@@ -8,7 +8,6 @@ from fraclap import (
     BasisKind,
     MultiplierDomainError,
     ParameterError,
-    SpectralMultiplier,
     coefficients,
     fractional_laplacian_matrix,
     fractional_multiplier,
@@ -90,11 +89,6 @@ class TestMultiplierMatrix:
         coeffs = _coeffs(BasisKind.DIRICHLET, 3, 1.0)
         with pytest.raises(MultiplierDomainError):
             multiplier_matrix(coeffs, lambda p: 1j * p)
-
-    def test_label_carried(self):
-        m = SpectralMultiplier(symbol=lambda p: p * p, label="p^2")
-        M = multiplier_matrix(_coeffs(BasisKind.NEUMANN, 3, 1.0), m)
-        assert M.label == "p^2"
 
 
 class TestFractionalLaplacian:

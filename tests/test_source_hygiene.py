@@ -8,6 +8,10 @@ import pytest
 import fraclap
 
 SOURCES = sorted(Path(fraclap.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+READERS = sorted(p for d in ("src", "tests", "demos", "benchmarks") for p in (ROOT / d).rglob("*.py"))
+# decorators that register the function they wrap (the click commands)
+_REGISTERING = {"command", "group"}
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +46,58 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _registered(node) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in _REGISTERING
+        for d in node.decorator_list
+    )
+
+
+def definitions(source: str) -> set:
+    """Module-level functions and classes, less those a decorator registers."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        or (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _registered(node))
+    }
+
+
+def reads(source: str) -> set:
+    """Names a module reads, as a bare name or as an attribute.
+
+    Imports and ``__all__`` entries are not reads, so a re-export alone does
+    not keep a definition alive.
+    """
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def test_detector_flags_a_dead_definition():
+    library = (
+        "import click\n"
+        "@click.group()\ndef main(): pass\n"
+        "@main.command('run')\ndef run(): pass\n"
+        "class Used: pass\nclass Dead: pass\n"
+        "def helper(): return Used()\ndef dead(): pass\ndef via_attr(): pass\n"
+    )
+    reexport = "from .library import Dead, dead\n__all__ = ['Dead', 'dead']\n"
+    user = "import library\nlibrary.via_attr()\nlibrary.helper()\nlibrary.main()\n"
+    read = reads(library) | reads(reexport) | reads(user)
+    assert sorted(definitions(library) - read) == ["Dead", "dead"]
+
+
+def test_no_dead_definitions():
+    read = set().union(*(reads(path.read_text()) for path in READERS))
+    dead = {
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in definitions(path.read_text()) - read
+    }
+    assert sorted(dead) == []
