@@ -8,7 +8,9 @@ sampling set is also a set of free modes with an orthogonal real transform
 to the grid samples (DST-I, DCT-II, real DFT, odd-harmonic real DFT), so the
 kinetic matrix is S diag(|p_n|^alpha) S^T, its trace a sum over the modes.
 Every Hamiltonian goes through one route: ``HamiltonianSpec`` -> ``assemble``
--> ``eigendecompose``, with ``find_pms_length`` for the box size.  The
+-> ``eigendecompose``, with ``find_pms_length`` for the box size.
+``assemble`` returns a ``Hamiltonian`` held in those modes, solved as an even
+and an odd block of mode columns when V is even.  The
 momentum representation of |p|^alpha + x^2 is the same route with kinetic
 exponent 2 and potential |x|^alpha.
 
@@ -55,6 +57,7 @@ from .errors import (
     ParseError,
 )
 from .hamiltonian import (
+    Hamiltonian,
     HamiltonianSpec,
     PmsResult,
     assemble,
@@ -67,7 +70,7 @@ from .operators import (
     fractional_multiplier,
     multiplier_matrix,
 )
-from .potential import PotentialExpr, evaluate, parse, to_source
+from .potential import PotentialExpr, parse, to_source
 from .reference import (
     WkbModel,
     beta_function,
@@ -102,6 +105,7 @@ __all__ = [
     "ParseError",
     "EvaluationError",
     "ConfigError",
+    "Hamiltonian",
     "HamiltonianSpec",
     "PmsResult",
     "assemble",
@@ -112,7 +116,6 @@ __all__ = [
     "fractional_multiplier",
     "multiplier_matrix",
     "PotentialExpr",
-    "evaluate",
     "parse",
     "to_source",
     "WkbModel",

@@ -133,38 +133,57 @@ def _table(fn, period: int) -> np.ndarray:
 def mode_matrix(grid: Grid) -> np.ndarray:
     """Orthogonal matrix S whose column i samples free mode i on the grid.
 
-    Columns follow ``mode_numbers``; rows are indexed by j = k + N.  Each
-    phase is the integer j n (2j + 1 for Neumann) reduced modulo its period
-    before the lookup in a scaled sine or cosine table, so no large trig
-    argument and no rounded multiple of pi enters, and only the real table
-    each column needs is gathered.
+    Columns follow ``mode_numbers``.  Dirichlet and Neumann phases count
+    rows from the left end, j = k + N; periodic and antiperiodic phases use
+    j = k, centred on x = 0, so every column is even or odd under the grid
+    reflection (``mode_parities``).  Each phase is the integer j n
+    (2j + 1 for Neumann) reduced modulo its period before the lookup in a
+    scaled sine or cosine table, so no large trig argument and no rounded
+    multiple of pi enters, and only the real table each column needs is
+    gathered.
     """
     N = grid.N
-    j = (grid.indices + N)[:, None]
     n = mode_numbers(grid)[None, :]
     if grid.kind == BasisKind.DIRICHLET:
-        phase = j * n
+        phase = (grid.indices + N)[:, None] * n
         phase %= 4 * N
         return (_table(np.sin, 4 * N) / np.sqrt(N))[phase]
     M = 2 * N + 1
     if grid.kind == BasisKind.NEUMANN:
-        phase = (2 * j + 1) * n
+        phase = (2 * grid.indices + M)[:, None] * n
         phase %= 4 * M
         S = (_table(np.cos, 4 * M) * np.sqrt(2.0 / M))[phase]
         S[:, 0] = 1.0 / np.sqrt(M)
         return S
     # the last 2N columns alternate cosine and sine of each mode pair
+    k = grid.indices[:, None]
     if grid.kind == BasisKind.PERIODIC:
         S = np.empty((M, M))
         S[:, 0] = 1.0 / np.sqrt(M)
-        phase, period, scale = j * n[:, 1::2], 2 * M, np.sqrt(2.0 / M)
+        phase, period, scale = k * n[:, 1::2], 2 * M, np.sqrt(2.0 / M)
     else:  # ANTIPERIODIC
         S = np.empty((2 * N, 2 * N))
-        phase, period, scale = j * n[:, ::2], 4 * N, 1.0 / np.sqrt(N)
+        phase, period, scale = k * n[:, ::2], 4 * N, 1.0 / np.sqrt(N)
     phase %= period
     S[:, -2 * N::2] = (_table(np.cos, period) * scale)[phase]
     S[:, 1 - 2 * N::2] = (_table(np.sin, period) * scale)[phase]
     return S
+
+
+def mode_parities(grid: Grid) -> np.ndarray:
+    """+1 for each even column of ``mode_matrix``, -1 for each odd one.
+
+    Dirichlet sin(n pi (x + L) / 2L) is even for odd n, Neumann
+    cos(n pi (x + L) / 2L) for even n; centred pairs are cosine and sine.
+    """
+    n = mode_numbers(grid)
+    if grid.kind == BasisKind.DIRICHLET:
+        return np.where(n % 2 == 1, 1, -1)
+    if grid.kind == BasisKind.NEUMANN:
+        return np.where(n % 2 == 0, 1, -1)
+    signs = np.ones(len(n), dtype=int)
+    signs[1 - 2 * grid.N::2] = -1
+    return signs
 
 
 def phase_period(grid: Grid) -> int:

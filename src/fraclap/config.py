@@ -74,18 +74,12 @@ def _parse_number(pairs, key, default=None, cast=float):
         raise ConfigError(f"key {key!r}: expected {what}, got {pairs[key]!r}")
 
 
-def _parse_int_list(text: str, key: str) -> list[int]:
+def _parse_list(text: str, key: str, cast) -> list:
     try:
-        return [int(part.strip()) for part in text.split(",") if part.strip()]
+        return [cast(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected integers, got {text!r}")
-
-
-def _parse_float_list(text: str, key: str) -> list[float]:
-    try:
-        return [float(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected numbers, got {text!r}")
+        what = "integers" if cast is int else "numbers"
+        raise ConfigError(f"key {key!r}: expected {what}, got {text!r}")
 
 
 @dataclass(frozen=True)
@@ -109,10 +103,6 @@ class JobConfig:
     @property
     def N(self) -> int:
         return self.n_list[0]
-
-    @property
-    def is_mathieu(self) -> bool:
-        return isinstance(self.potential, Preset) and self.potential.name == "mathieu"
 
     @property
     def is_oscillator(self) -> bool:
@@ -145,7 +135,7 @@ def build_job_config(pairs: dict[str, str]) -> JobConfig:
 
     if "N" not in pairs:
         raise ConfigError("missing required key 'N'")
-    n_list = tuple(_parse_int_list(pairs["N"], "N"))
+    n_list = tuple(_parse_list(pairs["N"], "N", int))
     if not n_list:
         raise ConfigError("key 'N': empty list")
     if mode == "convergence" and len(n_list) < 2:
@@ -198,7 +188,7 @@ def build_job_config(pairs: dict[str, str]) -> JobConfig:
             raise ConfigError("evolve mode needs a psi0 expression")
         if "times" not in pairs:
             raise ConfigError("evolve mode needs a times list")
-        times = tuple(_parse_float_list(pairs["times"], "times"))
+        times = tuple(_parse_list(pairs["times"], "times", float))
         if not times:
             raise ConfigError("key 'times': empty list")
         if not all(math.isfinite(t) for t in times):

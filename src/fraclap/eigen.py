@@ -1,10 +1,12 @@
 """Dense symmetric eigendecomposition and eigenvector post-processing.
 
-When H commutes with the grid reflection x -> -x (every even potential does)
-it is folded into its even and odd blocks, each solved on its own, so every
-eigenvector has an exact parity, also inside the free periodic cos/sin pairs
-that are degenerate in the Mathieu problem at q = 0.  Eigenvectors follow a
-fixed sign convention (largest-magnitude component positive).
+A ``Hamiltonian`` with an even potential is solved in its free modes: every
+mode column of the grid has a definite parity (``basis.mode_parities``), so
+the even and odd mode columns give two blocks, each solved on its own, and
+every eigenvector has an exact parity, also inside the free periodic cos/sin
+pairs that are degenerate in the Mathieu problem at q = 0.  No dense grid
+matrix is formed on that route.  Eigenvectors follow a fixed sign convention
+(largest-magnitude component positive).
 """
 
 from __future__ import annotations
@@ -20,17 +22,18 @@ from .basis import (
     interpolate,
     mode_matrix,
     mode_numbers,
+    mode_parities,
     quadrature_weights,
 )
 from .errors import ContractError, DimensionError, NumericalError
+from .hamiltonian import Hamiltonian
 from .operators import OperatorMatrix
 
-# Largest |PHP - H| entry, relative to max|H|, for which H is split into
-# parity blocks; the reflection-odd rounding of even Hamiltonians is ~1e-15.
+# Largest |V(-x_k) - V(x_k)|, relative to max(1, max|V|), for which a
+# Hamiltonian is solved in parity blocks.
 _PARITY_TOL = 1e-14
 # Overlap with the minority parity above which a state is called mixed.
 _MIXED_THRESHOLD = 0.1
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -55,26 +58,18 @@ def parity_map(grid: Grid):
     antiperiodic grid the point -L has no mirror node; its mirror value at
     +L is supplied by the boundary relation f(L) = -f(-L).
     """
-    dim = grid.dim
+    perm = np.arange(grid.dim - 1, -1, -1)
+    signs = np.ones(grid.dim)
     if grid.kind == BasisKind.ANTIPERIODIC:
-        perm = np.concatenate(([0], np.arange(dim - 1, 0, -1)))
-        signs = np.ones(dim)
+        perm = np.roll(perm, 1)  # 0, dim - 1, ..., 1
         signs[0] = -1.0
-    else:
-        perm = np.arange(dim - 1, -1, -1)
-        signs = np.ones(dim)
     return perm, signs
-
-
-def _apply_parity(grid: Grid, V: np.ndarray) -> np.ndarray:
-    perm, signs = parity_map(grid)
-    return signs[:, None] * V[perm, :]
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
     """Flip each column whose first largest-magnitude component is negative.
 
-    Works from the column maxima and minima, in place, with no |V| copy.
+    Works from the column maxima and minima, in place; a column-major V is not copied.
     """
     cols = np.arange(V.shape[1])
     hi, lo = V.argmax(axis=0), V.argmin(axis=0)
@@ -84,50 +79,6 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _parity_orbits(grid: Grid):
-    """Orbits of the grid reflection: fixed nodes by sign, and mirror pairs.
-
-    Returns (even_fixed, odd_fixed, a, b).  The centre node x = 0 is even;
-    the antiperiodic -L node is odd (P e_0 = -e_0).  Every other node a_i
-    (ascending) is paired with its mirror b_i.
-    """
-    perm, signs = parity_map(grid)
-    nodes = np.arange(grid.dim)
-    fixed = perm == nodes
-    a = nodes[perm > nodes]
-    return nodes[fixed & (signs > 0)], nodes[fixed & (signs < 0)], a, perm[a]
-
-
-def _commutes_with_parity(A: np.ndarray, grid: Grid, scale: float) -> bool:
-    perm, signs = parity_map(grid)
-    D = A.take(perm, axis=0).take(perm, axis=1)
-    D *= signs[:, None]
-    D *= signs
-    D -= A
-    return float(np.abs(D, out=D).max()) <= _PARITY_TOL * scale
-
-
-def _fold(A: np.ndarray, fixed, a, b, sign: float) -> np.ndarray:
-    """Block of A on the parity-``sign`` vectors e_f and (e_a + sign e_b)/sqrt2.
-
-    Fixed nodes come first, then the pairs; the pair-pair part is the 4-term
-    sum scaled once by 0.5, the fixed-pair part one 2-term sum times 1/sqrt2.
-    """
-    pp = 0.5 * (A[np.ix_(a, a)] + sign * A[np.ix_(a, b)] + sign * A[np.ix_(b, a)] + A[np.ix_(b, b)])
-    fp = (A[np.ix_(fixed, a)] + sign * A[np.ix_(fixed, b)]) * _SQRT_HALF
-    E = np.block([[A[np.ix_(fixed, fixed)], fp], [fp.T, pp]])
-    return 0.5 * (E + E.T)
-
-
-def _unfold(V: np.ndarray, Y: np.ndarray, cols, fixed, a, b, sign: float) -> None:
-    """Scatter block eigenvectors Y back onto the grid, into columns ``cols``."""
-    f = len(fixed)
-    V[np.ix_(fixed, cols)] = Y[:f]
-    half = Y[f:] * _SQRT_HALF
-    V[np.ix_(a, cols)] = half
-    V[np.ix_(b, cols)] = sign * half
-
-
 def _eigh(A: np.ndarray):
     try:
         return np.linalg.eigh(A)
@@ -135,16 +86,27 @@ def _eigh(A: np.ndarray):
         raise NumericalError(f"eigendecomposition failed: {exc}")
 
 
-def eigendecompose(H: OperatorMatrix) -> Spectrum:
-    """Full spectrum of a real symmetric operator matrix.
+def eigendecompose(H: Hamiltonian | OperatorMatrix) -> Spectrum:
+    """Full spectrum of a Hamiltonian or of a real symmetric operator matrix.
 
-    If H carries a grid and commutes with its reflection P (an even
-    potential), the even and odd blocks are solved separately and the two
-    spectra merged in ascending order by a stable sort, so an exact tie puts
-    the even state first; each eigenvector is then exactly even or odd.
-    Otherwise one full ``eigh`` is used.  Every eigenvector gets the
-    positive-largest-component sign.
+    A ``Hamiltonian`` whose potential is even under the grid reflection is
+    solved in its free modes, as one block of even mode columns and one of
+    odd ones (``_mode_block_eigh``); the spectra merge in ascending order by
+    a stable sort, so an exact tie puts the even state first.  Any other
+    input takes one full ``eigh`` of its dense entries.  Every eigenvector
+    gets the positive-largest-component sign.
     """
+    if isinstance(H, Hamiltonian):
+        if not np.all(np.isfinite(H.kinetic)):
+            raise NumericalError(
+                f"|p|^alpha overflows at alpha = {H.spec.alpha:g}, N = {H.grid.N}, "
+                f"L = {H.grid.L:g}: the box is too small for its mode momenta; "
+                "use a larger L (or a lower alpha or N)"
+            )
+        perm, _ = parity_map(H.grid)
+        V = H.potential
+        if np.abs(V[perm] - V).max() <= _PARITY_TOL * max(1.0, float(np.abs(V).max())):
+            return _mode_block_eigh(H)
     A = np.asarray(H.entries, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractError(f"matrix must be square, got shape {A.shape}")
@@ -157,33 +119,50 @@ def eigendecompose(H: OperatorMatrix) -> Spectrum:
     asym = float(np.abs(A - A.T).max())
     if asym > 1e-10 * scale:
         raise ContractError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
-
-    parities = None
-    if H.grid is not None and _commutes_with_parity(A, H.grid, scale):
-        w, V, parities = _parity_block_eigh(A, H.grid)
-    else:
-        w, V = _eigh(A)
-    return Spectrum(eigenvalues=w, eigenvectors=_fix_signs(V), grid=H.grid, parities=parities)
+    w, vectors = _eigh(A)
+    return Spectrum(eigenvalues=w, eigenvectors=_fix_signs(vectors), grid=H.grid)
 
 
-def _parity_block_eigh(A: np.ndarray, grid: Grid):
-    """Eigenpairs of a reflection-symmetric A from its even and odd blocks.
+def _mode_block(H: Hamiltonian, rows, cols, weight) -> np.ndarray:
+    """diag(kinetic[cols]) + X^T diag(weight V[rows]) X; X = S[rows, cols] dies before the eigh."""
+    X = H.modes[np.ix_(rows, cols)]
+    A = (X.T * (weight * H.potential[rows])) @ X
+    A.flat[:: len(cols) + 1] += H.kinetic[cols]
+    return A
 
-    Returns (eigenvalues, eigenvectors, parities), parity +1 for a state of
-    the even block and -1 for one of the odd block.
+
+def _mode_block_eigh(H: Hamiltonian) -> Spectrum:
+    """Eigenpairs of a Hamiltonian with an even potential, one parity block at a time.
+
+    Block b is diag(kinetic_b) + X_b^T diag(w V) X_b with X_b = S[rows, cols_b]:
+    cols_b are the mode columns of parity b, rows one node a of each mirror
+    pair (a, P a), with w = 2, then the fixed nodes of parity b, with w = 1.
+    The grid vectors are formed on those rows and copied, times the parity,
+    to the mirror nodes, straight into the columns their eigenvalues take
+    in the merged ascending order.  A state of the even block gets parity
+    +1, one of the odd block -1.
     """
-    even_fixed, odd_fixed, a, b = _parity_orbits(grid)
-    w_even, Y_even = _eigh(_fold(A, even_fixed, a, b, 1.0))
-    w_odd, Y_odd = _eigh(_fold(A, odd_fixed, a, b, -1.0))
-    w = np.concatenate((w_even, w_odd))
+    grid = H.grid
+    perm, signs = parity_map(grid)
+    nodes = np.arange(grid.dim)
+    fixed = perm == nodes
+    pairs = nodes[perm > nodes]
+    blocks = []
+    for sign in (1, -1):
+        rows = np.concatenate((pairs, nodes[fixed & (signs == sign)]))
+        cols = np.flatnonzero(mode_parities(grid) == sign)
+        weight = np.where(np.arange(len(rows)) < len(pairs), 2.0, 1.0)
+        blocks.append((sign, rows, cols, *_eigh(_mode_block(H, rows, cols, weight))))
+    n_even = len(blocks[0][3])
+    w = np.concatenate((blocks[0][3], blocks[1][3]))
     order = np.argsort(w, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(len(order))
-    V = np.zeros_like(A)
-    _unfold(V, Y_even, column[: len(w_even)], even_fixed, a, b, 1.0)
-    _unfold(V, Y_odd, column[len(w_even):], odd_fixed, a, b, -1.0)
-    parities = np.where(order < len(w_even), 1, -1)
-    return w[order], V, parities
+    vectors = np.zeros((grid.dim, grid.dim), order="F")  # _fix_signs reduces columns uncopied
+    for (sign, rows, cols, _, Y), at in zip(blocks, np.split(np.argsort(order), [n_even])):
+        G = H.modes[np.ix_(rows, cols)] @ Y
+        vectors[np.ix_(rows, at)] = G
+        G[: len(pairs)] *= sign
+        vectors[np.ix_(perm[pairs], at)] = G[: len(pairs)]
+    return Spectrum(w[order], _fix_signs(vectors), grid, parities=np.where(order < n_even, 1, -1))
 
 
 def parity_signs(spec: Spectrum) -> np.ndarray:
@@ -196,7 +175,8 @@ def parity_signs(spec: Spectrum) -> np.ndarray:
     if spec.parities is not None:
         return spec.parities
     V = spec.eigenvectors
-    PV = _apply_parity(spec.grid, V)
+    perm, signs = parity_map(spec.grid)
+    PV = signs[:, None] * V[perm, :]
     even_w = 0.25 * np.sum((V + PV) ** 2, axis=0)
     odd_w = 0.25 * np.sum((V - PV) ** 2, axis=0)
     mixed = (even_w > _MIXED_THRESHOLD) & (odd_w > _MIXED_THRESHOLD)

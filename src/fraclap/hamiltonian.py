@@ -1,21 +1,24 @@
 """Hamiltonian assembly and box-size selection by minimal sensitivity.
 
-The Hamiltonian is H = D * hbar**alpha * |p|^alpha + diag(V(x_k)).  The box
-half-length L is an unphysical parameter of the sampling set; it is chosen
-at the minimum of trace(H(L)).  The kinetic matrix is orthogonally similar
-to diag(|p_n|^alpha) over the free modes of the grid, so the trace is a sum
-over the mode momenta plus the potential samples, with no matrix built.
+The Hamiltonian is H = D * hbar**alpha * |p|^alpha + diag(V(x_k)).  The
+kinetic matrix is orthogonally similar to diag(|p_n|^alpha) over the free
+modes of the grid, so ``assemble`` returns a ``Hamiltonian`` that keeps the
+mode matrix, that diagonal and the potential samples; its dense grid matrix
+is formed only on demand.  The box half-length L is an unphysical parameter
+of the sampling set; it is chosen at the minimum of trace(H(L)), a sum over
+the mode momenta plus the potential samples, with no matrix built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .basis import BasisKind, Grid, make_grid, mode_momenta
+from .basis import BasisKind, Grid, make_grid, mode_matrix, mode_momenta
 from .errors import ConfigError, EvaluationError, NumericalError, ParameterError
 from .operators import OperatorMatrix, abs_power_entries
 from .potential import PotentialExpr
@@ -79,39 +82,54 @@ def sample_on_grid(fn, points, name: str = "potential") -> np.ndarray:
     return values
 
 
-def _kinetic_entries(spec: HamiltonianSpec, grid: Grid) -> np.ndarray:
-    """D * hbar**alpha * |p|^alpha on ``grid``, as a new array.
+@dataclass(frozen=True)
+class Hamiltonian:
+    """H = S diag(kinetic) S^T + diag(potential), held in the free modes of its grid.
 
-    The prefactor follows from (-hbar**2 Laplacian)^(alpha/2) = hbar**alpha |p|^alpha.
+    ``modes`` is the orthogonal mode matrix S of ``basis.mode_matrix``,
+    ``kinetic`` the diagonal D * hbar**alpha * |p_n|^alpha over its columns
+    (from (-hbar**2 Laplacian)^(alpha/2) = hbar**alpha |p|^alpha) and
+    ``potential`` the samples V(x_k).  The dense grid matrix ``entries`` is
+    formed only when something reads it.
     """
-    entries = abs_power_entries(grid, spec.alpha)
-    entries *= spec.d_alpha * spec.hbar ** spec.alpha
-    return entries
+
+    spec: HamiltonianSpec
+    grid: Grid
+    modes: np.ndarray
+    kinetic: np.ndarray
+    potential: np.ndarray
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """D * hbar**alpha * |p|^alpha + diag(V(x_k)) as a dense grid matrix."""
+        entries = abs_power_entries(self.grid, self.spec.alpha)
+        entries *= self.spec.d_alpha * self.spec.hbar ** self.spec.alpha
+        entries.flat[:: self.grid.dim + 1] += self.potential
+        return entries
 
 
-def assemble(spec: HamiltonianSpec, L: float) -> OperatorMatrix:
-    """Hamiltonian matrix D * hbar**alpha * |p|^alpha + diag(V(x_k)) on the (kind, N, L) grid."""
+def assemble(spec: HamiltonianSpec, L: float) -> Hamiltonian:
+    """Hamiltonian D * hbar**alpha * |p|^alpha + diag(V(x_k)) on the (kind, N, L) grid."""
     return next(assemble_sweep(spec, L, (spec.potential,)))
 
 
-def assemble_sweep(spec: HamiltonianSpec, L: float, potentials: Iterable) -> Iterator[OperatorMatrix]:
+def assemble_sweep(spec: HamiltonianSpec, L: float, potentials: Iterable) -> Iterator[Hamiltonian]:
     """``assemble`` on one grid for each potential in turn, in place of ``spec.potential``.
 
-    The kinetic matrix does not depend on V, so it is built once; each step
-    writes its diagonal plus the new samples over the diagonal of the same
-    matrix.  Every step yields that one ``OperatorMatrix``, so a yielded
-    matrix is valid only until the next step.
+    The modes and the kinetic diagonal do not depend on V, so every step
+    shares them.  An overflow of |p_n|^alpha is left as inf here;
+    ``eigen.eigendecompose`` rejects it with a NumericalError.
     """
     grid = make_grid(spec.kind, spec.N, L)
-    entries = _kinetic_entries(spec, grid)
-    kinetic_diag = entries.diagonal().copy()
-    H = OperatorMatrix(grid=grid, entries=entries)
+    modes = mode_matrix(grid)
+    with np.errstate(over="ignore"):
+        kinetic = spec.d_alpha * spec.hbar ** spec.alpha * mode_momenta(grid) ** spec.alpha
     for potential in potentials:
-        entries.flat[:: grid.dim + 1] = kinetic_diag + sample_on_grid(potential, grid.points)
-        yield H
+        V = sample_on_grid(potential, grid.points)
+        yield Hamiltonian(replace(spec, potential=potential), grid, modes, kinetic, V)
 
 
-def trace(H: OperatorMatrix) -> float:
+def trace(H: Hamiltonian | OperatorMatrix) -> float:
     return float(np.trace(H.entries))
 
 

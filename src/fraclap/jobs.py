@@ -203,8 +203,8 @@ def _mathieu_picks(spectrum: Spectrum) -> dict:
 def run_q_sweep(cfg: JobConfig) -> ResultTable:
     """Characteristic-value branches over a q range, labels tracked by overlap.
 
-    |p|^alpha + 2q cos(2z) on the periodic grid at L = pi; the kinetic
-    matrix is built once for the whole sweep.
+    |p|^alpha + 2q cos(2z) on the periodic grid at L = pi; the mode matrix
+    and the kinetic diagonal are built once for the whole sweep.
     """
     q_min, q_max, steps = cfg.sweep
     qs = np.linspace(q_min, q_max, steps)

@@ -3,10 +3,11 @@
 Two assembly routes are provided.  ``multiplier_matrix`` evaluates the
 generic complex sum over the exponential expansion and works for any finite
 real multiplier; it is kept as the independent reference.
-``fractional_laplacian_matrix`` (and ``abs_power_entries``, which the
-Hamiltonian assembly uses) diagonalizes |p|^alpha in the free modes of the
-grid: with the orthogonal mode matrix S of ``basis.mode_matrix`` the matrix
-is S diag(|p_n|^alpha) S^T, in plain double precision.
+``fractional_laplacian_matrix`` (and ``abs_power_entries``, which the dense
+``entries`` of a ``hamiltonian.Hamiltonian`` use) diagonalizes |p|^alpha in
+the free modes of the grid: with the orthogonal mode matrix S of
+``basis.mode_matrix`` the matrix is S diag(|p_n|^alpha) S^T, in plain double
+precision.  A plain ``OperatorMatrix`` always gets one full ``eigh``.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ class OperatorMatrix:
 
     grid: Grid
     entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float]) -> OperatorMatrix:

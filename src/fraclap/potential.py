@@ -310,11 +310,6 @@ def _eval_node(node, x: np.ndarray):
     raise TypeError(f"not an AST node: {node!r}")  # pragma: no cover
 
 
-def evaluate(expr: PotentialExpr, x):
-    """Evaluate a parsed potential at x, a scalar or an array."""
-    return expr.evaluate(x)
-
-
 def to_source(expr: PotentialExpr | object) -> str:
     """Pretty-print an AST; re-parsing the output gives an identical tree."""
     node = expr.ast if isinstance(expr, PotentialExpr) else expr

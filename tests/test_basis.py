@@ -15,9 +15,10 @@ from fraclap import (
     eval_sampling_function,
     interpolate,
     make_grid,
+    parity_map,
     quadrature_weights,
 )
-from fraclap.basis import mode_matrix, mode_numbers
+from fraclap.basis import mode_matrix, mode_numbers, mode_parities
 
 ALL_KINDS = list(BasisKind)
 
@@ -137,9 +138,12 @@ class TestModes:
     def test_mode_matrix_matches_complex_table_route(self, kind, N):
         # reference: gather exp(2 pi i phase / period) from one complex
         # table and keep the real or imaginary part; the real gathers must
-        # reproduce it exactly
+        # reproduce it exactly.  Periodic and antiperiodic phases are centred
+        # on x = 0 (j = k), the others count from the left end (j = k + N).
         grid = make_grid(kind, N, 1.3)
         j = (grid.indices + N)[:, None]
+        if kind in (BasisKind.PERIODIC, BasisKind.ANTIPERIODIC):
+            j = grid.indices[:, None]
         n = mode_numbers(grid)[None, :]
 
         def unit_circle(phase, period):
@@ -162,6 +166,15 @@ class TestModes:
             expected[:, -2 * N::2] = z.real
             expected[:, 1 - 2 * N::2] = z.imag
         np.testing.assert_array_equal(mode_matrix(grid), expected)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("N", [2, 3, 7, 50])
+    def test_mode_columns_have_their_parities(self, kind, N):
+        # P S = S diag(mode_parities), with P the signed reflection of parity_map
+        grid = make_grid(kind, N, 1.3)
+        S = mode_matrix(grid)
+        perm, signs = parity_map(grid)
+        assert np.abs(signs[:, None] * S[perm] - S * mode_parities(grid)).max() <= 1e-15
 
 
 def test_collapse_real_raises_under_optimize():

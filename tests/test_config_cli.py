@@ -368,6 +368,19 @@ class TestCliRun:
         assert result.exit_code == 2
         assert not (tmp_path / "spectrum.csv").exists()
 
+    def test_tiny_box_overflow_names_the_box(self, runner, tmp_path):
+        # (n pi / 2L)^1.5 overflows at L = 1e-300: the message blames the
+        # box size, not alpha or N
+        cfg = _write_cfg(
+            tmp_path,
+            "mode = spectrum\nalpha = 1.5\nN = 8\nL = 1e-300\npotential = x^2\n",
+        )
+        result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "L = 1e-300" in result.output
+        assert "larger L" in result.output
+        assert not (tmp_path / "spectrum.csv").exists()
+
     def test_overflow_emits_no_runtime_warning(self):
         # the overflow is reported once, as a NumericalError, not preceded
         # by numpy RuntimeWarnings

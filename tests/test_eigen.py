@@ -155,21 +155,50 @@ class TestParityBlocks:
             assert sorted(labels[i : i + 2]) == ["even", "odd"]
             assert spectrum.eigenvalues[i + 1] - spectrum.eigenvalues[i] <= 1e-12
 
-    def test_uneven_potential_takes_full_route(self, monkeypatch):
-        import fraclap.eigen as eigen
-
-        def no_fold(*args):
-            raise AssertionError("an uneven H must not be folded")
-
-        monkeypatch.setattr(eigen, "_fold", no_fold)
+    def test_uneven_potential_takes_full_route(self):
         spec_h = HamiltonianSpec(
             alpha=1.5, potential=lambda x: x + x * x, kind=BasisKind.DIRICHLET, N=12
         )
         H = assemble(spec_h, 4.0)
         spectrum = eigendecompose(H)
+        assert spectrum.parities is None
         np.testing.assert_allclose(
             spectrum.eigenvalues, np.linalg.eigvalsh(H.entries), rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_even_potential_forms_no_grid_matrix(self, kind):
+        spec_h = HamiltonianSpec(alpha=1.5, potential=lambda x: x * x, kind=kind, N=12)
+        H = assemble(spec_h, 4.0)
+        assert eigendecompose(H).parities is not None
+        assert "entries" not in vars(H)
+
+
+class TestMathieuA0Scatter:
+    def test_alpha_1_a0_over_n(self):
+        # a0 of 2 cos 2x at alpha = 1 has converged to double precision by
+        # N = 25, so from there on the computed a0 may move only by rounding.
+        # Oracle: the cos 2kx sector in Fourier modes, diag (2k)^alpha, q
+        # next to the diagonal (sqrt2 q next to k = 0), 40 modes, 40 digits.
+        import mpmath
+
+        with mpmath.workdps(40):
+            A = mpmath.matrix(40, 40)
+            for k in range(40):
+                A[k, k] = mpmath.mpf(2 * k)
+                if k:
+                    A[k - 1, k] = A[k, k - 1] = mpmath.sqrt(2) if k == 1 else mpmath.mpf(1)
+            exact = float(min(mpmath.eigsy(A, eigvals_only=True)))
+        assert exact == -0.7800201067971547
+        a0 = []
+        for N in range(25, 61):
+            spec_h = HamiltonianSpec(
+                alpha=1.0, potential=lambda x: 2.0 * math.cos(2.0 * x), kind=BasisKind.PERIODIC, N=N
+            )
+            a0.append(eigendecompose(assemble(spec_h, math.pi)).eigenvalues[0])
+        a0 = np.array(a0)
+        assert a0.max() - a0.min() <= 1e-14
+        assert np.abs(a0 - exact).max() <= 4e-15
 
 
 class TestParityMap:

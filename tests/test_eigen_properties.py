@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclap import BasisKind, HamiltonianSpec, assemble, classify_parity, eigendecompose, parity_map
-from fraclap.eigen import _commutes_with_parity
 
 
 def _even_potential(beta, q):
@@ -47,6 +46,13 @@ def _hamiltonian(case, potential=None):
 
 def _scale(H):
     return max(1.0, float(np.abs(H.entries).max()))
+
+
+def _commutes_with_reflection(H):
+    """Whether P H P = H to 1e-14 of max|H|, with P the signed grid reflection."""
+    perm, signs = parity_map(H.grid)
+    PHP = signs[:, None] * H.entries[np.ix_(perm, perm)] * signs
+    return np.abs(PHP - H.entries).max() <= 1e-14 * _scale(H)
 
 
 def _reflection_weights(spectrum):
@@ -99,7 +105,7 @@ def test_block_parities_match_reflection_weights(case):
 @given(cases)
 def test_uneven_potential_takes_full_route(case):
     H = _hamiltonian(case, potential=lambda x: x + x * x)
-    assert not _commutes_with_parity(H.entries, H.grid, _scale(H))
+    assert not _commutes_with_reflection(H)
     spectrum = eigendecompose(H)
     expected = np.linalg.eigvalsh(H.entries)
     assert np.abs(spectrum.eigenvalues - expected).max() <= 1e-12 * _scale(H)

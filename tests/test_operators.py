@@ -54,7 +54,7 @@ class TestMultiplierMatrix:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_identity_multiplier(self, kind):
         M = multiplier_matrix(_coeffs(kind, 5, 2.0), lambda p: 1.0)
-        assert np.abs(M.entries - np.eye(M.dim)).max() <= 1e-12
+        assert np.abs(M.entries - np.eye(M.grid.dim)).max() <= 1e-12
 
     def test_p_squared_dirichlet_oracle(self):
         # oracle: the Dirichlet p^2 matrix must have the exact infinite-well
