@@ -10,7 +10,8 @@ kinetic matrix is S diag(|p_n|^alpha) S^T, its trace a sum over the modes.
 Every Hamiltonian goes through one route: ``HamiltonianSpec`` -> ``assemble``
 -> ``eigendecompose``, with ``find_pms_length`` for the box size.
 ``assemble`` returns a ``Hamiltonian`` held in those modes, solved as an even
-and an odd block of mode columns when V is even.  The
+and an odd block of mode columns when V is even; the ``Spectrum`` keeps its
+states in the modes and forms grid eigenvectors only when they are read.  The
 momentum representation of |p|^alpha + x^2 is the same route with kinetic
 exponent 2 and potential |x|^alpha.
 
@@ -37,11 +38,13 @@ from .basis import (
     quadrature_weights,
 )
 from .eigen import (
+    ModeBlock,
     Spectrum,
     classify_parity,
     eigendecompose,
     evolution_coefficients,
     evolve,
+    mode_coefficients,
     parity_map,
     reconstruct,
 )
@@ -89,11 +92,13 @@ __all__ = [
     "interpolate",
     "make_grid",
     "quadrature_weights",
+    "ModeBlock",
     "Spectrum",
     "classify_parity",
     "eigendecompose",
     "evolution_coefficients",
     "evolve",
+    "mode_coefficients",
     "parity_map",
     "reconstruct",
     "FraclapError",

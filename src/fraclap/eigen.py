@@ -1,17 +1,21 @@
-"""Dense symmetric eigendecomposition and eigenvector post-processing.
+"""Dense symmetric eigendecomposition, eigenvector post-processing and evolution.
 
 A ``Hamiltonian`` with an even potential is solved in its free modes: every
 mode column of the grid has a definite parity (``basis.mode_parities``), so
 the even and odd mode columns give two blocks, each solved on its own, and
 every eigenvector has an exact parity, also inside the free periodic cos/sin
 pairs that are degenerate in the Mathieu problem at q = 0.  No dense grid
-matrix is formed on that route.  Eigenvectors follow a fixed sign convention
-(largest-magnitude component positive).
+matrix is formed on that route, and the ``Spectrum`` keeps the states as
+mode coefficients: the grid vectors (``Spectrum.eigenvectors``, with a fixed
+sign convention: largest-magnitude component positive) are formed only when
+something reads them.  ``evolve`` never does; it works in the modes, for
+every requested time at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,18 +41,56 @@ _MIXED_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenvalues with orthonormal eigenvectors (as columns).
+class ModeBlock:
+    """States solved together over some columns of the mode matrix.
 
+    ``vectors`` holds their coefficients over the columns ``cols``, one
+    state per column, and ``at`` their positions in the ascending spectrum.
+    """
+
+    cols: np.ndarray
+    at: np.ndarray
+    vectors: np.ndarray
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Ascending eigenvalues with orthonormal states held in the free modes.
+
+    State ``at[j]`` of a block is, up to its sign, the grid vector
+    S[:, cols] @ vectors[:, j] with S = ``modes``, the mode matrix of the
+    Hamiltonian (shared, not copied).  A full ``eigh`` has ``modes`` None
+    (S = I) and one block that holds the grid vectors themselves.
     ``parities`` holds +1 (even) or -1 (odd) per state when the spectrum
     came from a parity-block solve, which fixes every state's parity
     exactly; it is None after a full ``eigh``.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     grid: Grid
+    blocks: tuple[ModeBlock, ...]
+    modes: np.ndarray | None = None
     parities: np.ndarray | None = None
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The states as grid vectors (columns), each with its largest component positive.
+
+        After a block solve each block's vectors are formed on its rows (one
+        node of each mirror pair, then the fixed nodes) and copied, times the
+        block parity, to the mirror nodes.
+        """
+        if self.modes is None:
+            return self.blocks[0].vectors
+        perm, pairs, layout = _parity_layout(self.grid)
+        dim = len(self.eigenvalues)
+        vectors = np.zeros((dim, dim), order="F")  # _fix_signs reduces columns uncopied
+        for (sign, rows, _, _), block in zip(layout, self.blocks):
+            G = self.modes[np.ix_(rows, block.cols)] @ block.vectors
+            vectors[np.ix_(rows, block.at)] = G
+            G[: len(pairs)] *= sign
+            vectors[np.ix_(perm[pairs], block.at)] = G[: len(pairs)]
+        return _fix_signs(vectors)
 
 
 def parity_map(grid: Grid):
@@ -120,7 +162,10 @@ def eigendecompose(H: Hamiltonian | OperatorMatrix) -> Spectrum:
     if asym > 1e-10 * scale:
         raise ContractError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
     w, vectors = _eigh(A)
-    return Spectrum(eigenvalues=w, eigenvectors=_fix_signs(vectors), grid=H.grid)
+    states = np.arange(len(w))
+    # eigh returns row-major vectors; _fix_signs would copy them twice
+    block = ModeBlock(states, states, _fix_signs(np.asfortranarray(vectors)))
+    return Spectrum(eigenvalues=w, grid=H.grid, blocks=(block,))
 
 
 def _mode_block(H: Hamiltonian, rows, cols, weight) -> np.ndarray:
@@ -131,38 +176,49 @@ def _mode_block(H: Hamiltonian, rows, cols, weight) -> np.ndarray:
     return A
 
 
-def _mode_block_eigh(H: Hamiltonian) -> Spectrum:
-    """Eigenpairs of a Hamiltonian with an even potential, one parity block at a time.
+def _parity_layout(grid: Grid):
+    """Rows and mode columns of the even and the odd block of ``grid``.
 
-    Block b is diag(kinetic_b) + X_b^T diag(w V) X_b with X_b = S[rows, cols_b]:
-    cols_b are the mode columns of parity b, rows one node a of each mirror
-    pair (a, P a), with w = 2, then the fixed nodes of parity b, with w = 1.
-    The grid vectors are formed on those rows and copied, times the parity,
-    to the mirror nodes, straight into the columns their eigenvalues take
-    in the merged ascending order.  A state of the even block gets parity
-    +1, one of the odd block -1.
+    Returns (perm, pairs, layout): the grid reflection of ``parity_map``, the
+    lower node of each mirror pair, and one (sign, rows, cols, weight) per
+    block, even first.  The rows are the pair nodes, with weight 2, then the
+    fixed nodes of the block's parity, with weight 1; the columns are the
+    mode columns of that parity.
     """
-    grid = H.grid
     perm, signs = parity_map(grid)
     nodes = np.arange(grid.dim)
     fixed = perm == nodes
     pairs = nodes[perm > nodes]
-    blocks = []
+    layout = []
     for sign in (1, -1):
         rows = np.concatenate((pairs, nodes[fixed & (signs == sign)]))
         cols = np.flatnonzero(mode_parities(grid) == sign)
         weight = np.where(np.arange(len(rows)) < len(pairs), 2.0, 1.0)
-        blocks.append((sign, rows, cols, *_eigh(_mode_block(H, rows, cols, weight))))
-    n_even = len(blocks[0][3])
-    w = np.concatenate((blocks[0][3], blocks[1][3]))
+        layout.append((sign, rows, cols, weight))
+    return perm, pairs, layout
+
+
+def _mode_block_eigh(H: Hamiltonian) -> Spectrum:
+    """Eigenpairs of a Hamiltonian with an even potential, one parity block at a time.
+
+    Block b is diag(kinetic_b) + X_b^T diag(w V) X_b with X_b = S[rows, cols_b]
+    on the rows and columns of ``_parity_layout``.  Its eigenvectors stay
+    mode coefficients; their eigenvalues merge in ascending order by a
+    stable sort.  A state of the even block gets parity +1, one of the odd
+    block -1.
+    """
+    _, _, layout = _parity_layout(H.grid)
+    solved = [(cols, *_eigh(_mode_block(H, rows, cols, weight))) for _, rows, cols, weight in layout]
+    n_even = len(solved[0][1])
+    w = np.concatenate((solved[0][1], solved[1][1]))
     order = np.argsort(w, kind="stable")
-    vectors = np.zeros((grid.dim, grid.dim), order="F")  # _fix_signs reduces columns uncopied
-    for (sign, rows, cols, _, Y), at in zip(blocks, np.split(np.argsort(order), [n_even])):
-        G = H.modes[np.ix_(rows, cols)] @ Y
-        vectors[np.ix_(rows, at)] = G
-        G[: len(pairs)] *= sign
-        vectors[np.ix_(perm[pairs], at)] = G[: len(pairs)]
-    return Spectrum(w[order], _fix_signs(vectors), grid, parities=np.where(order < n_even, 1, -1))
+    blocks = tuple(
+        ModeBlock(cols, at, Y)
+        for (cols, _, Y), at in zip(solved, np.split(np.argsort(order), [n_even]))
+    )
+    return Spectrum(
+        w[order], H.grid, blocks, modes=H.modes, parities=np.where(order < n_even, 1, -1)
+    )
 
 
 def parity_signs(spec: Spectrum) -> np.ndarray:
@@ -230,34 +286,68 @@ def reconstruct(spec: Spectrum, i: int, resolution: int):
 
 
 def _times_complex(A: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """A @ z for a real matrix A and a complex vector z, by two real matvecs.
+    """A @ z for a real matrix A and a complex vector or matrix z, by two real products.
 
     numpy would otherwise cast the whole of A to complex on every call.
     """
-    out = np.empty(A.shape[0], dtype=complex)
+    out = np.empty(A.shape[:1] + z.shape[1:], dtype=complex)
     out.real = A @ z.real
     out.imag = A @ z.imag
     return out
 
 
-def evolve(spec: Spectrum, psi0, hbar: float, t: float) -> np.ndarray:
-    """Propagate grid samples psi0 to time t through the eigenbasis.
+def _grid_samples(spec: Spectrum, psi0) -> np.ndarray:
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (len(spec.eigenvalues),):
+        raise DimensionError(
+            f"expected {len(spec.eigenvalues)} samples, got shape {psi0.shape}"
+        )
+    return psi0
+
+
+def mode_coefficients(spec: Spectrum, psi0) -> np.ndarray:
+    """Expansion coefficients of grid samples psi0, state by state, from the modes.
+
+    c = Y_b^T (S^T psi0)[cols_b] for each block, so no grid vector is
+    formed.  Each state keeps the sign of its block solution, so c equals
+    ``evolution_coefficients`` up to one sign per state, and |c| is the same.
+    """
+    psi0 = _grid_samples(spec, psi0)
+    a = psi0 if spec.modes is None else _times_complex(spec.modes.T, psi0)
+    c = np.empty(len(spec.eigenvalues), dtype=complex)
+    for block in spec.blocks:
+        c[block.at] = _times_complex(block.vectors.T, a[block.cols])
+    return c
+
+
+def evolve(spec: Spectrum, psi0, hbar: float, t) -> np.ndarray:
+    """Propagate grid samples psi0 to time t, or to each time of a 1-D sequence t.
 
     Expansion coefficients are the Euclidean projections c_n = v_n . psi0,
     the exact discrete analogue of the continuum overlap integrals; each is
-    carried forward by the phase exp(-i t E_n / hbar).  At t = 0 this
-    returns psi0 itself (the eigenbasis is complete on the grid).
+    carried forward by the phase exp(-i t E_n / hbar).  The work stays in
+    the modes: c from ``mode_coefficients``, then the mode amplitudes
+    Z[cols_b] = Y_b (exp(-i E_b t / hbar) c_b) for every t, then S Z, each a
+    pair of real matrix products.  A scalar t gives shape (dim,), a sequence
+    (dim, len(t)).  At t = 0 this returns psi0 itself (the eigenbasis is
+    complete on the grid).
     """
-    c = evolution_coefficients(spec, psi0)
-    phases = np.exp(-1j * t * spec.eigenvalues / hbar)
-    return _times_complex(spec.eigenvectors, phases * c)
+    c = mode_coefficients(spec, psi0)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise DimensionError(f"t must be a number or a 1-D sequence, got shape {times.shape}")
+    phases = np.exp(-1j * times.reshape(-1) * spec.eigenvalues[:, None] / hbar)
+    Z = np.empty(phases.shape, dtype=complex)
+    for block in spec.blocks:
+        Z[block.cols] = _times_complex(block.vectors, phases[block.at] * c[block.at, None])
+    psi = Z if spec.modes is None else _times_complex(spec.modes, Z)
+    return psi if times.ndim else psi[:, 0]
 
 
 def evolution_coefficients(spec: Spectrum, psi0) -> np.ndarray:
-    """Eigenbasis expansion coefficients of grid samples psi0."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (spec.grid.dim,):
-        raise DimensionError(
-            f"expected {spec.grid.dim} samples, got shape {psi0.shape}"
-        )
-    return _times_complex(spec.eigenvectors.T, psi0)
+    """Eigenbasis expansion coefficients v_n . psi0 of grid samples psi0.
+
+    They follow the sign convention of ``Spectrum.eigenvectors``, which this
+    forms if nothing has read it yet.
+    """
+    return _times_complex(spec.eigenvectors.T, _grid_samples(spec, psi0))

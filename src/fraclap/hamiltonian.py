@@ -102,7 +102,7 @@ class Hamiltonian:
     @cached_property
     def entries(self) -> np.ndarray:
         """D * hbar**alpha * |p|^alpha + diag(V(x_k)) as a dense grid matrix."""
-        entries = abs_power_entries(self.grid, self.spec.alpha)
+        entries = abs_power_entries(self.grid, self.spec.alpha, self.modes)
         entries *= self.spec.d_alpha * self.spec.hbar ** self.spec.alpha
         entries.flat[:: self.grid.dim + 1] += self.potential
         return entries

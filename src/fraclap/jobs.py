@@ -10,13 +10,18 @@ written digits.
 
 Built-in potentials (free, oscillator, mathieu) are expression trees like
 parsed ones, so every potential and every psi0 is sampled over the whole
-grid in one call.
+grid in one call.  An evolve job stays in the free modes: one ``evolve``
+call for all its times, with no grid eigenvector formed.  A time whose
+phases t E_n / hbar would overflow, or carry more than 1e-6 rad of rounding,
+is a ConfigError.  The writers format each row with one %-format, with the
+bytes of the per-value ``_fmt``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,20 +30,22 @@ import numpy as np
 from . import __version__
 from .basis import BasisKind
 from .config import JobConfig, Preset
-from .eigen import (
-    Spectrum,
-    classify_parity,
-    eigendecompose,
-    evolution_coefficients,
-    evolve,
-    parity_signs,
-)
+from .eigen import Spectrum, classify_parity, eigendecompose, evolve, parity_signs
+
+# Only |c| is read here, and the mode-space coefficients need no grid vector.
+# benchmarks/tracing.py times the evolve layer through this name and ``evolve``.
+from .eigen import mode_coefficients as evolution_coefficients
 from .errors import ConfigError, NumericalError
 from .hamiltonian import HamiltonianSpec, assemble, assemble_sweep, find_pms_length, sample_on_grid
 from .potential import BinOp, Call, Number, PotentialExpr, Variable, parse, to_source
 from .reference import WkbModel, wkb_energy
 
 _DIGITS = 15
+_NUMBER = f"%.{_DIGITS}g"
+# Largest phase rounding, in radians, that an evolution time may carry.
+_PHASE_TOL = 1e-6
+# Joins the cells of a JSON row while they are formatted; no text cell holds it.
+_CELL_SEP = "\x1f"
 
 
 def _fmt(value) -> str:
@@ -46,6 +53,11 @@ def _fmt(value) -> str:
     if isinstance(value, str):
         return value
     return f"{value:.{_DIGITS}g}"
+
+
+def _format_row(row, sep: str = ",") -> str:
+    """The cells of a row as ``_fmt`` renders them, joined by ``sep``, in one format call."""
+    return sep.join(["%s" if isinstance(v, str) else _NUMBER for v in row]) % tuple(row)
 
 
 @dataclass
@@ -293,19 +305,51 @@ def run_wkb_compare(cfg: JobConfig) -> ResultTable:
     )
 
 
+def _max_evolution_time(spectrum: Spectrum, c: np.ndarray, hbar: float) -> float:
+    """Largest |t| whose phases t E_n / hbar are finite and rounded by at most _PHASE_TOL.
+
+    A phase is rounded to about |t| 2^-53 |E_n| / hbar; the rms of |E_n|
+    over the weights |c_n|^2 stands for the states that carry the norm.
+    Energies and weights are scaled by their largest magnitudes first, so
+    nothing overflows on the way.  A psi0 of zero has no phase to round.
+    """
+    E = np.abs(spectrum.eigenvalues)
+    E_max, c_max = float(E.max()), float(np.abs(c).max())
+    if E_max == 0.0:
+        return math.inf
+    t_max = sys.float_info.max / E_max * min(1.0, hbar)  # t E, then t E / hbar, stay finite
+    if c_max > 0.0:
+        w = (np.abs(c) / c_max) ** 2
+        E_rms = E_max * math.sqrt(float(w @ (E / E_max) ** 2 / w.sum()))
+        t_max = min(t_max, _PHASE_TOL * hbar * 2.0**53 / E_rms)
+    return t_max
+
+
 def run_evolve(cfg: JobConfig) -> list[ResultTable]:
-    """Time evolution of an initial packet; one table per requested time."""
+    """Time evolution of an initial packet; one table per requested time.
+
+    All times are propagated by one ``evolve`` call.  The x column is
+    formatted once, and it and every other cell reach the writers as the
+    same bits as per-value output would write.
+    """
     spectrum, L_used, _, pot_text = _solve(cfg, cfg.N)
     points = spectrum.grid.points
     psi0 = sample_on_grid(parse(cfg.psi0), points, "psi0")
-    coeff_norm = float(np.sum(np.abs(evolution_coefficients(spectrum, psi0)) ** 2))
-    tables = []
+    c = evolution_coefficients(spectrum, psi0)
+    t_max = _max_evolution_time(spectrum, c, cfg.hbar)
     for t in cfg.times:
-        psi_t = evolve(spectrum, psi0, cfg.hbar, float(t))
-        rows = [
-            [float(x), float(p.real), float(p.imag), float(abs(p) ** 2)]
-            for x, p in zip(points, psi_t)
-        ]
+        if not abs(t) <= t_max:
+            raise ConfigError(
+                f"time t = {t:g} is too large: its phases t*E/hbar would overflow or "
+                f"carry more than {_PHASE_TOL:g} rad of rounding; the largest usable "
+                f"time for this psi0 is {t_max:.3g}"
+            )
+    coeff_norm = float(np.sum(np.abs(c) ** 2))
+    psi = evolve(spectrum, psi0, cfg.hbar, cfg.times)
+    x_cells = [_NUMBER % x for x in points.tolist()]
+    tables = []
+    for t, psi_t in zip(cfg.times, psi.T):
+        rows = [[x, p.real, p.imag, abs(p) ** 2] for x, p in zip(x_cells, psi_t.tolist())]
         metadata = _base_metadata(cfg, pot_text)
         metadata["N"] = str(cfg.N)
         metadata["L"] = _fmt(L_used)
@@ -344,8 +388,7 @@ def write_csv(table: ResultTable, directory) -> Path:
     path = Path(directory) / f"{table.name}.csv"
     lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(_format_row(row) for row in table.rows)
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -355,7 +398,7 @@ def write_json(table: ResultTable, directory) -> Path:
     payload = {
         "metadata": table.metadata,
         "columns": table.columns,
-        "rows": [[_fmt(v) for v in row] for row in table.rows],
+        "rows": [_format_row(row, _CELL_SEP).split(_CELL_SEP) for row in table.rows],
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path

@@ -36,7 +36,9 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float])
     imaginary parts must cancel and are dropped after a residue check.  On
     the grid the exponential is exp(2 pi i n j / P) with the integer period
     P of ``basis.phase_period``, so each row is one inverse DFT of length P
-    over the terms summed by n mod P.  Terms with C_n = 0 cost nothing.
+    over the terms summed by n mod P, written straight into place: n < 0 at
+    P + n, n >= 0 at n, and where P = 4N the terms of n = 2N add onto those
+    of n = -2N.  Terms with C_n = 0 cost nothing.
     """
     grid = coeffs.grid
     momenta = coeffs.n_values * np.pi / (2.0 * grid.L)
@@ -48,14 +50,15 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float])
         values[i] = v
 
     period = phase_period(grid)
-    terms = coeffs.values * values
+    C = coeffs.values
+    neg = 2 * grid.N  # n = -2N .. -1 come first in n_values
+    free = min(neg + 1, period - neg)  # n = 0 .. free - 1 land on empty residues
     folded = np.zeros((grid.dim, period), dtype=complex)
-    for start in range(0, terms.shape[1], period):
-        chunk = terms[:, start:start + period]
-        folded[:, :chunk.shape[1]] += chunk
-    # column c held n = n_0 + c (mod P); roll it to column n mod P
-    folded = np.roll(folded, int(coeffs.n_values[0]), axis=1)
-    raw = np.fft.ifft(folded, axis=1, norm="forward")[:, grid.indices % period]
+    np.multiply(C[:, :neg], values[:neg], out=folded[:, period - neg:])
+    np.multiply(C[:, neg:neg + free], values[neg:neg + free], out=folded[:, :free])
+    folded[:, free:neg + 1] += C[:, neg + free:] * values[neg + free:]
+    np.fft.ifft(folded, axis=1, norm="forward", out=folded)
+    raw = folded[:, grid.indices % period]
     scale = max(1.0, float(np.abs(raw).max()))
     resid = float(np.abs(raw.imag).max())
     if resid > 1e-12 * scale:
@@ -65,17 +68,19 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float])
     return OperatorMatrix(grid=grid, entries=np.ascontiguousarray(raw.real))
 
 
-def abs_power_entries(grid: Grid, alpha: float) -> np.ndarray:
+def abs_power_entries(grid: Grid, alpha: float, modes: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of |p|^alpha on ``grid``, through its free modes.
 
-    With S the orthogonal mode matrix and p_n the mode momenta the matrix is
+    With S the orthogonal mode matrix (``modes`` when the caller holds it,
+    else ``basis.mode_matrix(grid)``) and p_n the mode momenta the matrix is
     S diag(p_n**alpha) S^T.  It is formed as B B^T with
     B = S diag(p_n**(alpha/2)), which makes it exactly symmetric.  An
     overflow (alpha = 200, say) yields inf/nan entries without a numpy
     warning; ``eigen.eigendecompose`` rejects them with a NumericalError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        B = mode_matrix(grid) * mode_momenta(grid) ** (0.5 * alpha)
+        S = mode_matrix(grid) if modes is None else modes
+        B = S * mode_momenta(grid) ** (0.5 * alpha)
         return B @ B.T
 
 

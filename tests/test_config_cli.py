@@ -235,7 +235,7 @@ class TestSpectrumRows:
         for name, value in before.items():
             np.testing.assert_array_equal(getattr(spectrum, name), value)
         assert spectrum.parities is parities
-        assert set(vars(spectrum)) == {"eigenvalues", "eigenvectors", "grid", "parities"}
+        assert set(vars(spectrum)) == {"eigenvalues", "eigenvectors", "grid", "blocks", "modes", "parities"}
         expected = [
             [n, float(e).hex(), "", parity, period or ""]
             for n, (e, (parity, period)) in enumerate(zip(spectrum.eigenvalues, labels))

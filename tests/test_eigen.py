@@ -18,6 +18,7 @@ from fraclap import (
     evolution_coefficients,
     evolve,
     make_grid,
+    mode_coefficients,
     parity_map,
     reconstruct,
 )
@@ -366,9 +367,56 @@ class TestEvolve:
         expected = V @ (np.exp(-1j * t * spectrum.eigenvalues) * c)
         assert np.abs(evolve(spectrum, psi0, 1.0, t) - expected).max() <= 1e-14
 
+    def test_batched_times_equal_single_calls(self):
+        spectrum = self._spectrum()
+        psi0 = np.exp(-((spectrum.grid.points - 0.4) ** 2))
+        times = [0.0, 0.3, 2.5, 11.0]
+        batched = evolve(spectrum, psi0, 1.3, times)
+        assert batched.shape == (spectrum.grid.dim, len(times))
+        for j, t in enumerate(times):
+            single = evolve(spectrum, psi0, 1.3, t)
+            assert single.shape == (spectrum.grid.dim,)
+            assert np.abs(batched[:, j] - single).max() <= 1e-14
+        assert evolve(spectrum, psi0, 1.3, []).shape == (spectrum.grid.dim, 0)
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    @pytest.mark.parametrize("potential", [lambda x: x * x, lambda x: x * x + 0.7 * x])
+    def test_mode_space_evolution_matches_grid_vectors(self, kind, potential):
+        # even V: two parity blocks in the modes; uneven V: one full eigh (S = I)
+        spec_h = HamiltonianSpec(alpha=1.5, potential=potential, kind=kind, N=24)
+        spectrum = eigendecompose(assemble(spec_h, 5.0))
+        assert (spectrum.modes is None) == (potential(1.0) != potential(-1.0))
+        x = spectrum.grid.points
+        psi0 = np.exp(-((x - 0.5) ** 2)) * (1.0 + 0.3j * np.sin(2.0 * x))
+        V = spectrum.eigenvectors.astype(complex)
+        times = [0.0, 0.7, 3.1]
+        psi = evolve(spectrum, psi0, 0.8, times)
+        for j, t in enumerate(times):
+            expected = V @ (np.exp(-1j * t * spectrum.eigenvalues / 0.8) * (V.T @ psi0))
+            assert np.abs(psi[:, j] - expected).max() <= 1e-13
+        # the mode coefficients are the grid-vector ones up to a sign per state
+        c, ref = mode_coefficients(spectrum, psi0), evolution_coefficients(spectrum, psi0)
+        assert np.abs(np.abs(c) - np.abs(ref)).max() <= 1e-14
+
+    def test_evolution_leaves_the_grid_vectors_unformed(self):
+        spectrum = self._spectrum()
+        psi0 = np.exp(-(spectrum.grid.points**2))
+        evolve(spectrum, psi0, 1.0, [0.0, 1.0])
+        mode_coefficients(spectrum, psi0)
+        assert "eigenvectors" not in vars(spectrum)
+        V = spectrum.eigenvectors
+        assert spectrum.eigenvectors is V  # formed once, then kept
+
+    def test_rejects_two_dimensional_times(self):
+        spectrum = self._spectrum()
+        with pytest.raises(DimensionError):
+            evolve(spectrum, np.exp(-(spectrum.grid.points**2)), 1.0, [[0.0, 1.0]])
+
     def test_shape_validation(self):
         spectrum = self._spectrum()
         with pytest.raises(DimensionError):
             evolve(spectrum, np.zeros(5), 1.0, 0.0)
         with pytest.raises(DimensionError):
             evolution_coefficients(spectrum, np.zeros(5))
+        with pytest.raises(DimensionError):
+            mode_coefficients(spectrum, np.zeros(5))

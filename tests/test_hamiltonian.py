@@ -33,6 +33,16 @@ class TestAssemble:
         K = fractional_laplacian_matrix(coefficients(make_grid(BasisKind.DIRICHLET, 6, 2.0)), 1.5)
         assert np.abs(H.entries - K.entries).max() == 0
 
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_entries_reuse_the_held_modes_bit_for_bit(self, kind):
+        # entries come from H.modes, not from a second mode_matrix, with the same bits
+        spec = HamiltonianSpec(
+            alpha=1.3, potential=lambda x: x * x + 0.3 * x, kind=kind, N=9, d_alpha=0.7, hbar=1.9
+        )
+        H = assemble(spec, 2.5)
+        expected = abs_power_entries(H.grid, 1.3) * (0.7 * 1.9**1.3) + np.diag(H.potential)
+        np.testing.assert_array_equal(H.entries.view(np.uint64), expected.view(np.uint64))
+
     def test_potential_on_diagonal(self):
         spec = HamiltonianSpec(alpha=2.0, potential=HARMONIC, kind=BasisKind.DIRICHLET, N=5)
         H = assemble(spec, 3.0)

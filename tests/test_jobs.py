@@ -1,0 +1,141 @@
+"""The evolve job and the table writers.
+
+The evolve job solves once, propagates every requested time in one call and
+never forms the grid eigenvectors.  A time whose phases t E_n / hbar would
+overflow or be mostly rounding is a config error.  The writers format each
+row in one call, with the same bytes as formatting value by value.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
+
+import fraclap
+from fraclap import jobs
+from fraclap.cli import main
+from fraclap.config import build_job_config
+
+EVOLVE_CFG = (
+    "mode = evolve\nbasis = dirichlet\npotential = x^2\nalpha = 1.5\nN = 20\nL = 6\n"
+    "psi0 = exp(-x^2)\ntimes = 0\n"
+)
+
+
+def _run(tmp_path, *overrides):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(EVOLVE_CFG)
+    out = tmp_path / "out"
+    args = ["run", "--config", str(cfg), "--out", str(out)]
+    for item in overrides:
+        args += ["--set", item]
+    return CliRunner().invoke(main, args), out
+
+
+def _table(path):
+    """(metadata, rows as floats) of a written CSV table."""
+    lines = path.read_text().splitlines()
+    meta = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("# "))
+    body = [l for l in lines if not l.startswith("#")][1:]
+    return meta, np.array([[float(v) for v in l.split(",")] for l in body])
+
+
+class TestEvolutionTimeLimit:
+    @pytest.mark.parametrize("t", ["1e308", "1e17", "-1e17"])
+    def test_meaningless_phases_are_a_config_error(self, tmp_path, t):
+        # t = 1e308 made every row nan; t = 1e17 rounds each phase by ~10 rad
+        result, out = _run(tmp_path, f"times=0,{t}")
+        assert result.exit_code == 1, result.output
+        assert f"time t = {float(t):g} is too large" in result.output
+        assert "largest usable time for this psi0 is 7.19e+09" in result.output
+        assert not out.exists()
+
+    def test_times_in_use_pass(self, tmp_path):
+        result, out = _run(tmp_path, "times=0,0.25,16,20,-20,1e9")
+        assert result.exit_code == 0, result.output
+        assert len(list(out.glob("*.csv"))) == 6
+
+    def test_zero_psi0_passes(self, tmp_path):
+        result, out = _run(tmp_path, "psi0=0", "times=0,20")
+        assert result.exit_code == 0, result.output
+        meta, rows = _table(out / "evolve_t20.csv")
+        assert float(meta["coeff_norm"]) == 0.0
+        assert np.all(rows[:, 1:] == 0.0)
+
+    def test_overflowing_phase_with_zero_psi0_is_a_config_error(self, tmp_path):
+        # nothing to round, but t E would overflow to inf and the rows to nan
+        result, out = _run(tmp_path, "psi0=0", "times=1e308")
+        assert result.exit_code == 1, result.output
+        assert not out.exists()
+
+    def test_limit_holds_under_python_O(self, tmp_path):
+        # the check is an if, not an assert, so it survives -O
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(EVOLVE_CFG)
+        out = tmp_path / "out"
+        src = str(Path(fraclap.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "fraclap.cli", "run", "--config", str(cfg),
+             "--set", "times=1e308", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "config error: time t = 1e+308 is too large" in proc.stderr
+        assert not out.exists()
+
+
+class TestEvolveJob:
+    def test_job_never_forms_grid_vectors(self, monkeypatch):
+        solved = []
+
+        def keep(H):
+            solved.append(fraclap.eigendecompose(H))
+            return solved[-1]
+
+        monkeypatch.setattr(jobs, "eigendecompose", keep)
+        tables = jobs.run_evolve(build_job_config(
+            {"mode": "evolve", "potential": "x^2", "alpha": "1.5", "N": "20", "L": "6",
+             "psi0": "exp(-x^2)", "times": "0, 1, 2"}
+        ))
+        assert [t.name for t in tables] == ["evolve_t0", "evolve_t1", "evolve_t2"]
+        assert "eigenvectors" not in vars(solved[0])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_norm_drift_at_n500(self, tmp_path, seed):
+        # the benchmark's evolve draws: sum |psi|^2 of every written table
+        # against the coefficient norm, as read back from the files
+        rng = np.random.default_rng(seed)
+        alpha, c, x0 = rng.uniform(1.0, 2.0), rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0)
+        cfg = build_job_config(
+            {"mode": "evolve", "potential": f"x^4 - {c!r}*x^2", "alpha": repr(alpha),
+             "N": "500", "L": "8", "psi0": f"exp(-(x - {x0!r})^2)",
+             "times": "0, 0.25, 0.5, 1, 2, 4, 8, 16"}
+        )
+        drift = 0.0
+        for path in jobs.write_tables(jobs.run_evolve(cfg), tmp_path, "csv"):
+            meta, rows = _table(path)
+            norm = float(np.sum(rows[:, 1] ** 2 + rows[:, 2] ** 2))
+            drift = max(drift, abs(norm - float(meta["coeff_norm"])))
+        assert drift <= 5e-13
+
+
+cells = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7976931348623157e308]),
+    st.integers(-(10**300), 10**300),
+    st.text(alphabet=st.characters(blacklist_characters="\x1f")),
+)
+
+
+@given(st.lists(cells, min_size=1, max_size=8))
+def test_one_pass_row_matches_per_value_format(row):
+    expected = [jobs._fmt(v) for v in row]
+    assert jobs._format_row(row) == ",".join(expected)
+    assert jobs._format_row(row, jobs._CELL_SEP).split(jobs._CELL_SEP) == expected
