@@ -45,6 +45,7 @@ from .eigen import (
     evolution_coefficients,
     evolve,
     mode_coefficients,
+    mode_state,
     parity_map,
     reconstruct,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "evolution_coefficients",
     "evolve",
     "mode_coefficients",
+    "mode_state",
     "parity_map",
     "reconstruct",
     "FraclapError",

@@ -144,14 +144,11 @@ def build_job_config(pairs: dict[str, str]) -> JobConfig:
         raise ConfigError(f"mode {mode!r} takes a single N value")
 
     L_text = pairs.get("L", "").strip().lower()
-    if is_mathieu:
-        # the box is pinned to the potential period
-        if L_text == "pms":
-            raise ConfigError("the mathieu preset fixes L = pi; L = pms is not allowed")
-        if L_text in ("", "pi"):
-            L = math.pi
-        else:
-            L = _parse_number(pairs, "L")
+    if is_mathieu and L_text == "pms":
+        raise ConfigError("the mathieu preset fixes L = pi; L = pms is not allowed")
+    if L_text == "pi" or (is_mathieu and not L_text):
+        # the mathieu box is pinned to the potential period
+        L = math.pi
     elif L_text in ("", "pms"):
         if basis == BasisKind.PERIODIC:
             raise ConfigError("periodic problems fix L by the potential period; give L explicitly")

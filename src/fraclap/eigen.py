@@ -9,7 +9,9 @@ matrix is formed on that route, and the ``Spectrum`` keeps the states as
 mode coefficients: the grid vectors (``Spectrum.eigenvectors``, with a fixed
 sign convention: largest-magnitude component positive) are formed only when
 something reads them.  ``evolve`` never does; it works in the modes, for
-every requested time at once.
+every requested time at once.  ``mode_state`` reads one state's coefficients
+over all mode columns, which is what the Mathieu q-sweep compares from step
+to step.
 """
 
 from __future__ import annotations
@@ -219,6 +221,23 @@ def _mode_block_eigh(H: Hamiltonian) -> Spectrum:
     return Spectrum(
         w[order], H.grid, blocks, modes=H.modes, parities=np.where(order < n_even, 1, -1)
     )
+
+
+def mode_state(spec: Spectrum, i: int) -> np.ndarray:
+    """Coefficients of state i over all mode columns, with no grid vector formed.
+
+    Its block's column of Y_b, scattered to the block's ``cols``, zeros
+    elsewhere; after a full ``eigh`` (S = I) it is the grid vector itself.
+    It keeps the sign of the block solution, so it equals S^T v_i for the
+    grid vector v_i of ``Spectrum.eigenvectors`` only up to sign.
+    """
+    y = np.zeros(len(spec.eigenvalues))
+    for block in spec.blocks:
+        j = np.flatnonzero(block.at == i)
+        if len(j):
+            y[block.cols] = block.vectors[:, j[0]]
+            return y
+    raise DimensionError(f"no state {i} in a spectrum of {len(spec.eigenvalues)}")
 
 
 def parity_signs(spec: Spectrum) -> np.ndarray:

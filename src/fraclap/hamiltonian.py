@@ -44,6 +44,27 @@ class HamiltonianSpec:
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
                 raise ParameterError(f"{name} must be positive, got {v!r}")
+        self.kinetic_prefactor  # an overflow fails here, at construction
+
+    @cached_property
+    def kinetic_prefactor(self) -> float:
+        """D * hbar**alpha, the factor of |p|^alpha in H.
+
+        An overflow is a ParameterError that names D, hbar and alpha; an
+        underflow to 0 is not, since the kinetic term is then below double
+        precision.
+        """
+        try:
+            prefactor = self.d_alpha * self.hbar**self.alpha
+        except OverflowError:
+            prefactor = math.inf
+        if not math.isfinite(prefactor):
+            raise ParameterError(
+                f"the kinetic prefactor D * hbar^alpha overflows at D = {self.d_alpha:g}, "
+                f"hbar = {self.hbar:g}, alpha = {self.alpha:g}; rescale the units so "
+                "that it is finite"
+            )
+        return prefactor
 
 
 @dataclass(frozen=True)
@@ -103,7 +124,7 @@ class Hamiltonian:
     def entries(self) -> np.ndarray:
         """D * hbar**alpha * |p|^alpha + diag(V(x_k)) as a dense grid matrix."""
         entries = abs_power_entries(self.grid, self.spec.alpha, self.modes)
-        entries *= self.spec.d_alpha * self.spec.hbar ** self.spec.alpha
+        entries *= self.spec.kinetic_prefactor
         entries.flat[:: self.grid.dim + 1] += self.potential
         return entries
 
@@ -123,7 +144,7 @@ def assemble_sweep(spec: HamiltonianSpec, L: float, potentials: Iterable) -> Ite
     grid = make_grid(spec.kind, spec.N, L)
     modes = mode_matrix(grid)
     with np.errstate(over="ignore"):
-        kinetic = spec.d_alpha * spec.hbar ** spec.alpha * mode_momenta(grid) ** spec.alpha
+        kinetic = spec.kinetic_prefactor * mode_momenta(grid) ** spec.alpha
     for potential in potentials:
         V = sample_on_grid(potential, grid.points)
         yield Hamiltonian(replace(spec, potential=potential), grid, modes, kinetic, V)
@@ -137,8 +158,7 @@ def _trace_of(spec: HamiltonianSpec, L: float) -> float:
     """trace(assemble(spec, L)) as a sum over the free modes, in O(N)."""
     grid = make_grid(spec.kind, spec.N, L)
     kin = np.sum(mode_momenta(grid) ** spec.alpha)
-    prefactor = spec.d_alpha * spec.hbar ** spec.alpha
-    return float(prefactor * kin + sample_on_grid(spec.potential, grid.points).sum())
+    return float(spec.kinetic_prefactor * kin + sample_on_grid(spec.potential, grid.points).sum())
 
 
 def _golden_minimize(f, a: float, b: float, c: float, tol: float) -> float:

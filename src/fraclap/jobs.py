@@ -11,7 +11,8 @@ written digits.
 Built-in potentials (free, oscillator, mathieu) are expression trees like
 parsed ones, so every potential and every psi0 is sampled over the whole
 grid in one call.  An evolve job stays in the free modes: one ``evolve``
-call for all its times, with no grid eigenvector formed.  A time whose
+call for all its times, with no grid eigenvector formed.  A q-sweep stays
+there too: it tracks its branches by their mode coefficients.  A time whose
 phases t E_n / hbar would overflow, or carry more than 1e-6 rad of rounding,
 is a ConfigError.  The writers format each row with one %-format, with the
 bytes of the per-value ``_fmt``.
@@ -30,7 +31,7 @@ import numpy as np
 from . import __version__
 from .basis import BasisKind
 from .config import JobConfig, Preset
-from .eigen import Spectrum, classify_parity, eigendecompose, evolve, parity_signs
+from .eigen import Spectrum, classify_parity, eigendecompose, evolve, mode_state, parity_signs
 
 # Only |c| is read here, and the mode-space coefficients need no grid vector.
 # benchmarks/tracing.py times the evolve layer through this name and ``evolve``.
@@ -216,7 +217,11 @@ def run_q_sweep(cfg: JobConfig) -> ResultTable:
     """Characteristic-value branches over a q range, labels tracked by overlap.
 
     |p|^alpha + 2q cos(2z) on the periodic grid at L = pi; the mode matrix
-    and the kinetic diagonal are built once for the whole sweep.
+    and the kinetic diagonal are built once for the whole sweep.  The sweep
+    stays in the free modes: a branch's continuity is the overlap of its
+    ``mode_state`` coefficients at consecutive steps, which equals the grid
+    overlap up to rounding because every step shares the orthogonal S, and
+    no grid eigenvector is formed.
     """
     q_min, q_max, steps = cfg.sweep
     qs = np.linspace(q_min, q_max, steps)
@@ -228,9 +233,7 @@ def run_q_sweep(cfg: JobConfig) -> ResultTable:
     for q, H in zip(qs, hamiltonians):
         spectrum = eigendecompose(H)
         picks = _mathieu_picks(spectrum)
-        vectors = {
-            label: spectrum.eigenvectors[:, idx] for label, idx in picks.items()
-        }
+        vectors = {label: mode_state(spectrum, idx) for label, idx in picks.items()}
         if prev_vectors is not None:
             for label in _SWEEP_LABELS:
                 overlap = abs(float(vectors[label] @ prev_vectors[label]))

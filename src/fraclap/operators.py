@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import Grid, SpectralCoefficients, mode_matrix, mode_momenta, phase_period
+from .basis import BasisKind, Grid, SpectralCoefficients, mode_matrix, mode_momenta, phase_period
 from .errors import MultiplierDomainError, NumericalError, ParameterError
 
 
@@ -38,7 +38,9 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float])
     P of ``basis.phase_period``, so each row is one inverse DFT of length P
     over the terms summed by n mod P, written straight into place: n < 0 at
     P + n, n >= 0 at n, and where P = 4N the terms of n = 2N add onto those
-    of n = -2N.  Terms with C_n = 0 cost nothing.
+    of n = -2N.  Terms with C_n = 0 cost nothing.  On a periodic grid every
+    odd n has C_n = 0, and n = 2m gives exp(2 pi i m j / (P/2)), so the even
+    terms fold over m modulo P/2 = 2N + 1 instead, half the DFT length.
     """
     grid = coeffs.grid
     momenta = coeffs.n_values * np.pi / (2.0 * grid.L)
@@ -49,10 +51,11 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float])
             raise MultiplierDomainError(p, v)
         values[i] = v
 
-    period = phase_period(grid)
-    C = coeffs.values
-    neg = 2 * grid.N  # n = -2N .. -1 come first in n_values
-    free = min(neg + 1, period - neg)  # n = 0 .. free - 1 land on empty residues
+    step = 2 if grid.kind == BasisKind.PERIODIC else 1  # fold n = step * m over m
+    period = phase_period(grid) // step
+    C, values = coeffs.values[:, ::step], values[::step]
+    neg = 2 * grid.N // step  # m < 0 come first
+    free = min(neg + 1, period - neg)  # m = 0 .. free - 1 land on empty residues
     folded = np.zeros((grid.dim, period), dtype=complex)
     np.multiply(C[:, :neg], values[:neg], out=folded[:, period - neg:])
     np.multiply(C[:, neg:neg + free], values[neg:neg + free], out=folded[:, :free])

@@ -13,8 +13,10 @@ from fraclap import (
     classify_parity,
     eigendecompose,
     find_pms_length,
+    mode_state,
     parse,
 )
+from fraclap import jobs
 from fraclap.cli import main
 from fraclap.config import Preset, build_job_config, parse_config_text
 from fraclap.jobs import _potential_callable, fit_levels, run_q_sweep, run_spectrum
@@ -72,6 +74,17 @@ class TestBuildJobConfig:
         with pytest.raises(ConfigError):
             _cfg(potential="free", basis="periodic")
         assert _cfg(potential="free", basis="periodic", L="3.0").L == 3.0
+
+    @pytest.mark.parametrize("mode", ["spectrum", "convergence", "evolve", "wkb-compare"])
+    def test_L_pi_on_every_job(self, mode):
+        extra = {"convergence": {"N": "10,12"},
+                 "evolve": {"psi0": "exp(-x^2)", "times": "0"}}.get(mode, {})
+        assert _cfg(mode=mode, L="pi", **extra).L == math.pi
+        assert _cfg(mode=mode, L="PI", **extra).L == math.pi
+
+    def test_mathieu_rejects_non_positive_L(self):
+        with pytest.raises(ConfigError):
+            _cfg(potential="mathieu(1)", L="-1")
 
     def test_expression_potential_passes_through(self):
         assert _cfg(potential="x^4 + x^2").potential == "x^4 + x^2"
@@ -206,6 +219,74 @@ class TestQSweep:
         ]
 
 
+def _sweep_cfg(alpha, N, q_max=20.0, steps=12):
+    return build_job_config(
+        {"mode": "q-sweep", "potential": "mathieu(0)", "alpha": str(alpha), "N": str(N),
+         "q_min": "0", "q_max": str(q_max), "q_steps": str(steps)}
+    )
+
+
+def _record_spectra(monkeypatch):
+    """Every spectrum the q-sweep solves, in step order."""
+    solved = []
+
+    def keep(H):
+        solved.append(eigendecompose(H))
+        return solved[-1]
+
+    monkeypatch.setattr(jobs, "eigendecompose", keep)
+    return solved
+
+
+class TestQSweepInModes:
+    def test_no_step_forms_grid_vectors(self, monkeypatch):
+        solved = _record_spectra(monkeypatch)
+        run_q_sweep(_sweep_cfg(1.5, 20))
+        assert len(solved) == 12
+        assert all("eigenvectors" not in vars(s) for s in solved)
+
+    @pytest.mark.parametrize("N", [20, 200])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_mode_overlaps_equal_grid_overlaps(self, monkeypatch, alpha, N):
+        # every step shares the orthogonal S, so |y . y_prev| = |v . v_prev|
+        solved = _record_spectra(monkeypatch)
+        run_q_sweep(_sweep_cfg(alpha, N))
+        worst = 0.0
+        for prev, cur in zip(solved, solved[1:]):
+            prev_picks, cur_picks = jobs._mathieu_picks(prev), jobs._mathieu_picks(cur)
+            for label, i in cur_picks.items():
+                j = prev_picks[label]
+                modal = abs(float(mode_state(cur, i) @ mode_state(prev, j)))
+                grid = abs(float(cur.eigenvectors[:, i] @ prev.eigenvectors[:, j]))
+                worst = max(worst, abs(modal - grid))
+        assert worst <= 1e-13
+
+    def test_forced_continuity_loss_is_reported(self, monkeypatch):
+        # a0 and a1 swapped at q = 1: each branch jumps to the other family
+        # (period pi against 2 pi, so the overlaps vanish) and back at q = 1.5
+        picks = jobs._mathieu_picks
+        steps = []
+
+        def swapped(spectrum):
+            chosen = picks(spectrum)
+            steps.append(spectrum)
+            if len(steps) == 3:
+                chosen["a0"], chosen["a1"] = chosen["a1"], chosen["a0"]
+            return chosen
+
+        monkeypatch.setattr(jobs, "_mathieu_picks", swapped)
+        table = run_q_sweep(_sweep_cfg(1.5, 20, q_max=2.0, steps=5))
+        assert table.metadata["warnings"] == (
+            "branch a0 lost continuity at q = 1 (overlap 0.000); "
+            "branch a1 lost continuity at q = 1 (overlap 0.000); "
+            "branch a0 lost continuity at q = 1.5 (overlap 0.000); "
+            "branch a1 lost continuity at q = 1.5 (overlap 0.000)"
+        )
+
+    def test_smooth_sweep_has_no_warnings(self):
+        assert "warnings" not in run_q_sweep(_sweep_cfg(1.5, 20)).metadata
+
+
 class TestSpectrumRows:
     @pytest.mark.parametrize(
         "basis, L, potential",
@@ -299,6 +380,21 @@ class TestCliRun:
             if not l.startswith("#")
         ]
         assert len(body) == 3  # header + two states
+
+    def test_periodic_expression_at_L_pi_matches_mathieu_preset(self, runner, tmp_path):
+        # 2*cos(2*x) parses to the preset's own tree, so the energies agree byte for byte
+        energies = []
+        for name, text in [
+            ("preset", "potential = mathieu(1)\n"),
+            ("expr", "potential = 2*cos(2*x)\nbasis = periodic\nL = pi\n"),
+        ]:
+            cfg = _write_cfg(tmp_path, "mode = spectrum\nalpha = 1.5\nN = 20\n" + text, f"{name}.cfg")
+            result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path / name)])
+            assert result.exit_code == 0, result.output
+            body = (tmp_path / name / "spectrum.csv").read_text().splitlines()
+            energies.append([line.split(",")[1] for line in body if not line.startswith("#")])
+        assert energies[0] == energies[1]
+        assert len(energies[0]) == 5  # header + n_states rows
 
     def test_config_error_exit_code(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, "mode = bogus\nalpha = 1\nN = 5\n")

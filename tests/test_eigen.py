@@ -19,6 +19,7 @@ from fraclap import (
     evolve,
     make_grid,
     mode_coefficients,
+    mode_state,
     parity_map,
     reconstruct,
 )
@@ -173,6 +174,32 @@ class TestParityBlocks:
         H = assemble(spec_h, 4.0)
         assert eigendecompose(H).parities is not None
         assert "entries" not in vars(H)
+
+
+class TestModeState:
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_even_potential_is_mode_transform_up_to_sign(self, kind):
+        H = assemble(HamiltonianSpec(alpha=1.5, potential=lambda x: x * x, kind=kind, N=24), 5.0)
+        spectrum = eigendecompose(H)
+        assert spectrum.modes is not None
+        states = [mode_state(spectrum, i) for i in range(len(spectrum.eigenvalues))]
+        assert "eigenvectors" not in vars(spectrum)
+        for i, y in enumerate(states):
+            ref = H.modes.T @ spectrum.eigenvectors[:, i]
+            assert min(np.abs(y - ref).max(), np.abs(y + ref).max()) <= 1e-13
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_full_eigh_gives_the_grid_vector(self, kind):
+        H = assemble(HamiltonianSpec(alpha=1.5, potential=lambda x: x * x + 0.7 * x, kind=kind, N=24), 5.0)
+        spectrum = eigendecompose(H)
+        assert spectrum.modes is None
+        for i in range(len(spectrum.eigenvalues)):
+            np.testing.assert_array_equal(mode_state(spectrum, i), spectrum.eigenvectors[:, i])
+
+    def test_rejects_a_missing_state(self):
+        spectrum = eigendecompose(_matrix([[2.0, 1.0], [1.0, 2.0]]))
+        with pytest.raises(DimensionError):
+            mode_state(spectrum, 2)
 
 
 class TestMathieuA0Scatter:

@@ -117,6 +117,35 @@ class TestAssemble:
         with pytest.raises(ParameterError):
             HamiltonianSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "d_alpha, hbar, alpha",
+        [(1.0, 1e300, 1.5), (1e300, 1e10, 2.0), (1e308, 10.0, 1.0)],
+    )
+    def test_overflowing_prefactor_is_a_parameter_error(self, d_alpha, hbar, alpha):
+        # 1e300**1.5 raises OverflowError in Python; 1e300 * 1e20 is inf
+        with pytest.raises(ParameterError, match="overflows") as info:
+            HamiltonianSpec(alpha=alpha, potential=FREE, kind=BasisKind.DIRICHLET, N=5,
+                            d_alpha=d_alpha, hbar=hbar)
+        assert f"D = {d_alpha:g}, hbar = {hbar:g}, alpha = {alpha:g}" in str(info.value)
+
+    def test_underflowing_prefactor_leaves_the_potential(self):
+        # D hbar^alpha underflows to 0: H is diag(V), and nothing fails
+        spec = HamiltonianSpec(alpha=1.5, potential=HARMONIC, kind=BasisKind.DIRICHLET, N=5,
+                               hbar=1e-300)
+        assert spec.kinetic_prefactor == 0.0
+        H = assemble(spec, 3.0)
+        assert np.all(H.kinetic == 0.0)
+        np.testing.assert_allclose(
+            eigendecompose(H).eigenvalues, np.sort(H.grid.points**2), rtol=0, atol=1e-14
+        )
+
+    def test_prefactor_has_the_bits_of_the_formula(self):
+        spec = HamiltonianSpec(alpha=1.37, potential=FREE, kind=BasisKind.NEUMANN, N=6,
+                               d_alpha=0.7, hbar=1.9)
+        assert spec.kinetic_prefactor == 0.7 * 1.9**1.37
+        H = assemble(spec, 2.0)
+        np.testing.assert_array_equal(H.kinetic, 0.7 * 1.9**1.37 * mode_momenta(H.grid) ** 1.37)
+
 
 def _dirichlet_pms(alpha, c, beta, N):
     # on the Dirichlet grid trace(H(L)) = A L^-alpha + c B L^beta, with A, B

@@ -1,9 +1,11 @@
-"""The evolve job and the table writers.
+"""The evolve job, the table writers and the kinetic prefactor's limits.
 
 The evolve job solves once, propagates every requested time in one call and
 never forms the grid eigenvectors.  A time whose phases t E_n / hbar would
-overflow or be mostly rounding is a config error.  The writers format each
-row in one call, with the same bytes as formatting value by value.
+overflow or be mostly rounding is a config error, and so is a kinetic
+prefactor D hbar^alpha that overflows, also under ``python -O``.  The
+writers format each row in one call, with the same bytes as formatting value
+by value.
 """
 
 import os
@@ -76,19 +78,55 @@ class TestEvolutionTimeLimit:
 
     def test_limit_holds_under_python_O(self, tmp_path):
         # the check is an if, not an assert, so it survives -O
-        cfg = tmp_path / "job.cfg"
-        cfg.write_text(EVOLVE_CFG)
-        out = tmp_path / "out"
-        src = str(Path(fraclap.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "fraclap.cli", "run", "--config", str(cfg),
-             "--set", "times=1e308", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc, out = _run_optimized(tmp_path, EVOLVE_CFG, "times=1e308")
         assert proc.returncode == 1, proc.stderr
         assert "config error: time t = 1e+308 is too large" in proc.stderr
         assert not out.exists()
+
+
+def _run_optimized(tmp_path, text, *overrides):
+    """``fraclap run`` on config ``text`` in a ``python -O`` subprocess."""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    src = str(Path(fraclap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    args = [sys.executable, "-O", "-m", "fraclap.cli", "run", "--config", str(cfg), "--out", str(out)]
+    for item in overrides:
+        args += ["--set", item]
+    return subprocess.run(args, capture_output=True, text=True, env=env, timeout=120), out
+
+
+class TestKineticPrefactorOverflow:
+    @pytest.mark.parametrize(
+        "mode, overrides",
+        [
+            ("spectrum", ["hbar=1e300"]),
+            ("pms-scan", ["hbar=1e300", "L=pms"]),
+            ("spectrum", ["D=1e300", "hbar=1e10", "alpha=2"]),
+        ],
+    )
+    def test_is_a_config_error(self, tmp_path, mode, overrides):
+        result, out = _run(tmp_path, f"mode={mode}", *overrides)
+        assert result.exit_code == 1, result.output
+        assert "config error: the kinetic prefactor D * hbar^alpha overflows" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
+    def test_is_a_config_error_under_python_O(self, tmp_path):
+        proc, out = _run_optimized(tmp_path, EVOLVE_CFG, "mode=spectrum", "hbar=1e300")
+        assert proc.returncode == 1, proc.stderr
+        assert "config error: the kinetic prefactor" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_tiny_hbar_still_runs(self, tmp_path):
+        result, out = _run(tmp_path, "mode=spectrum", "hbar=1e-300")
+        assert result.exit_code == 0, result.output
+        body = [l for l in (out / "spectrum.csv").read_text().splitlines() if not l.startswith("#")]
+        energies = [float(l.split(",")[1]) for l in body[1:]]
+        # the kinetic term is below double precision: the levels are V at the nodes
+        np.testing.assert_allclose(energies, [0.0, 0.09, 0.09, 0.36], rtol=0, atol=1e-14)
 
 
 class TestEvolveJob:
