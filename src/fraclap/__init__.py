@@ -9,8 +9,9 @@ to the grid samples (DST-I, DCT-II, real DFT, odd-harmonic real DFT), so the
 kinetic matrix is S diag(|p_n|^alpha) S^T, its trace a sum over the modes.
 Every Hamiltonian goes through one route: ``HamiltonianSpec`` -> ``assemble``
 -> ``eigendecompose``, with ``find_pms_length`` for the box size.
-``assemble`` returns a ``Hamiltonian`` held in those modes, solved as an even
-and an odd block of mode columns when V is even; the ``Spectrum`` keeps its
+``assemble`` returns a ``Hamiltonian`` held in those modes, always solved
+over its even and its odd mode columns: two independent blocks when V is
+even, one coupled matrix of them otherwise.  The ``Spectrum`` keeps its
 states in the modes and forms grid eigenvectors only when they are read.  The
 momentum representation of |p|^alpha + x^2 is the same route with kinetic
 exponent 2 and potential |x|^alpha.

@@ -109,6 +109,15 @@ def _property_checks():
     dev = float(np.abs(ev - np.array(exact)).max() / max(exact))
     yield "Dirichlet free spectrum = exact box levels", dev <= 1e-10, f"max rel dev {dev:.2e}"
 
+    # an uneven V couples the even and the odd mode columns
+    worst = 0.0
+    for kind in BasisKind:
+        spec = HamiltonianSpec(alpha=1.5, potential=lambda x: x * x + 0.3 * x, kind=kind, N=12)
+        H = assemble(spec, 4.0)
+        dev = np.abs(eigendecompose(H).eigenvalues - np.linalg.eigvalsh(H.entries)).max()
+        worst = max(worst, float(dev / np.abs(H.entries).max()))
+    yield "uneven V: mode solve matches dense eigvalsh", worst <= 1e-12, f"max rel dev {worst:.2e}"
+
     # evolution conserves the coefficient norm
     spec = HamiltonianSpec(
         alpha=1.5, potential=lambda x: 0.0, kind=BasisKind.DIRICHLET, N=8

@@ -111,7 +111,8 @@ class Hamiltonian:
     ``kinetic`` the diagonal D * hbar**alpha * |p_n|^alpha over its columns
     (from (-hbar**2 Laplacian)^(alpha/2) = hbar**alpha |p|^alpha) and
     ``potential`` the samples V(x_k).  The dense grid matrix ``entries`` is
-    formed only when something reads it.
+    the oracle of tests and checks, formed only when something reads it; no
+    solve does.
     """
 
     spec: HamiltonianSpec

@@ -7,7 +7,8 @@ real multiplier; it is kept as the independent reference.
 ``entries`` of a ``hamiltonian.Hamiltonian`` use) diagonalizes |p|^alpha in
 the free modes of the grid: with the orthogonal mode matrix S of
 ``basis.mode_matrix`` the matrix is S diag(|p_n|^alpha) S^T, in plain double
-precision.  A plain ``OperatorMatrix`` always gets one full ``eigh``.
+precision.  These dense matrices are references and test oracles:
+``eigen.eigendecompose`` takes only a ``Hamiltonian``, solved in its modes.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def abs_power_entries(grid: Grid, alpha: float, modes: np.ndarray | None = None)
     S diag(p_n**alpha) S^T.  It is formed as B B^T with
     B = S diag(p_n**(alpha/2)), which makes it exactly symmetric.  An
     overflow (alpha = 200, say) yields inf/nan entries without a numpy
-    warning; ``eigen.eigendecompose`` rejects them with a NumericalError.
+    warning, for the caller to check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         S = mode_matrix(grid) if modes is None else modes

@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,6 @@ from fraclap import (
     ContractError,
     DimensionError,
     HamiltonianSpec,
-    NumericalError,
     OperatorMatrix,
     Spectrum,
     assemble,
@@ -27,53 +31,74 @@ from fraclap import (
 FREE = lambda x: 0.0
 
 
-def _matrix(entries, grid=None):
-    return OperatorMatrix(grid=grid, entries=np.asarray(entries, dtype=float))
+EVEN = lambda x: x * x
+UNEVEN = lambda x: x * x + 0.7 * x
+
+
+def _hamiltonian(potential, kind=BasisKind.DIRICHLET, N=12, L=4.0, alpha=1.5):
+    return assemble(HamiltonianSpec(alpha=alpha, potential=potential, kind=kind, N=N), L)
 
 
 class TestEigendecompose:
     def test_two_by_two_analytic(self):
-        # [[a, b], [b, a]] has eigenvalues a -+ b with (1, -+1)/sqrt(2)
-        spec = eigendecompose(_matrix([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, 3.0], atol=1e-14)
-        s = 1 / math.sqrt(2)
-        np.testing.assert_allclose(np.abs(spec.eigenvectors), [[s, s], [s, s]], atol=1e-14)
+        # Dirichlet N = 2 on [-pi, pi]: nodes -pi/2, 0, pi/2 and the modes
+        # sin(k (x + pi) / 2), k = 1, 2, 3.  V = -3/4 cos 2x samples to
+        # (3/4, -3/4, 3/4): the odd k = 2 level is 1 + 3/4, and the even k = 1, 3
+        # block is [[1/4, 3/4], [3/4, 9/4]], with eigenvalues 0 and 5/2 and
+        # states (3, -1)/sqrt(10) and (1, 3)/sqrt(10) over its two modes
+        spec_h = HamiltonianSpec(
+            alpha=2.0, potential=lambda x: -0.75 * np.cos(2.0 * x), kind=BasisKind.DIRICHLET, N=2
+        )
+        spec = eigendecompose(assemble(spec_h, math.pi))
+        np.testing.assert_allclose(spec.eigenvalues, [0.0, 1.75, 2.5], rtol=0, atol=1e-14)
+        r2, r10 = math.sqrt(2.0), math.sqrt(10.0)
+        states = [[1.0, 2.0 * r2, 1.0], [r10 / r2, 0.0, -r10 / r2], [2.0, -r2, 2.0]]
+        np.testing.assert_allclose(spec.eigenvectors, np.array(states).T / r10, rtol=0, atol=1e-14)
 
     def test_diagonal_matrix(self):
-        spec = eigendecompose(_matrix(np.diag([3.0, -1.0, 2.0])))
-        np.testing.assert_allclose(spec.eigenvalues, [-1.0, 2.0, 3.0], atol=0)
+        # with V = 0 the Hamiltonian is diagonal in its free modes: the
+        # levels are the kinetic diagonal and the states the mode columns
+        for kind in BasisKind:
+            H = _hamiltonian(FREE, kind=kind)
+            spectrum = eigendecompose(H)
+            order = np.argsort(H.kinetic, kind="stable")
+            np.testing.assert_array_equal(spectrum.eigenvalues, H.kinetic[order])
+            # a degenerate periodic cos/sin pair splits by parity, even (cos) first
+            overlaps = np.abs(H.modes.T @ spectrum.eigenvectors)
+            np.testing.assert_allclose(overlaps[order, np.arange(H.grid.dim)], 1.0, rtol=0, atol=1e-14)
 
     def test_random_self_consistency(self):
+        # random V samples, once made even and once as drawn; the dense grid
+        # matrix H.entries, formed apart from the mode solve, is the oracle
         rng = np.random.default_rng(20240817)
-        A = rng.standard_normal((20, 20))
-        A = 0.5 * (A + A.T)
-        spec = eigendecompose(_matrix(A))
-        # residuals and orthonormality
-        resid = A @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
-        assert np.abs(resid).max() <= 1e-12
-        gram = spec.eigenvectors.T @ spec.eigenvectors
-        assert np.abs(gram - np.eye(20)).max() <= 1e-12
-        # independent oracle: det(A) from an LU factorization must equal
-        # the eigenvalue product
-        lu_det = np.prod(np.diag(scipy.linalg.lu(A)[2]))
-        # LU permutation sign
-        P = scipy.linalg.lu(A)[0]
-        lu_det *= np.linalg.det(P)
-        assert np.prod(spec.eigenvalues) == pytest.approx(float(lu_det), rel=1e-10)
+        free = _hamiltonian(FREE)
+        V = rng.standard_normal(free.grid.dim)
+        perm, _ = parity_map(free.grid)
+        for samples in (0.5 * (V + V[perm]), V):
+            H = dataclasses.replace(free, potential=samples)
+            spec = eigendecompose(H)
+            A = H.entries
+            scale = max(1.0, float(np.abs(A).max()))
+            resid = A @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
+            assert np.abs(resid).max() <= 1e-12 * scale
+            gram = spec.eigenvectors.T @ spec.eigenvectors
+            assert np.abs(gram - np.eye(H.grid.dim)).max() <= 1e-12
+            # det(A) from an LU factorization must equal the eigenvalue product
+            P, _, U = scipy.linalg.lu(A)
+            lu_det = np.prod(np.diag(U)) * np.linalg.det(P)
+            assert np.prod(spec.eigenvalues) == pytest.approx(float(lu_det), rel=1e-10)
 
     def test_ascending_order(self):
-        rng = np.random.default_rng(7)
-        A = rng.standard_normal((12, 12))
-        spec = eigendecompose(_matrix(A + A.T))
-        assert np.all(np.diff(spec.eigenvalues) >= 0)
+        for potential in (EVEN, UNEVEN):
+            spec = eigendecompose(_hamiltonian(potential, kind=BasisKind.PERIODIC))
+            assert np.all(np.diff(spec.eigenvalues) >= 0)
 
     def test_sign_convention(self):
-        rng = np.random.default_rng(99)
-        A = rng.standard_normal((10, 10))
-        spec = eigendecompose(_matrix(A + A.T))
-        for i in range(10):
-            v = spec.eigenvectors[:, i]
-            assert v[np.argmax(np.abs(v))] > 0
+        for potential in (EVEN, UNEVEN):
+            spec = eigendecompose(_hamiltonian(potential, kind=BasisKind.NEUMANN))
+            for i in range(len(spec.eigenvalues)):
+                v = spec.eigenvectors[:, i]
+                assert v[np.argmax(np.abs(v))] > 0
 
     def test_sign_convention_on_magnitude_ties(self):
         # odd states carry +-m at mirror nodes: the first of them is made positive
@@ -87,27 +112,26 @@ class TestEigendecompose:
         np.testing.assert_array_equal(_fix_signs(V.copy()), expected)
         np.testing.assert_array_equal(expected[0, :2], [0.5, 0.5])
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ContractError):
-            eigendecompose(_matrix([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ContractError):
-            eigendecompose(_matrix(np.zeros((3, 4))))
-
-    def test_rejects_nan_on_diagonal(self):
-        # NaN compares False, so the symmetry check alone lets it through
-        A = np.eye(3)
-        A[1, 1] = np.nan
-        with pytest.raises(NumericalError):
-            eigendecompose(_matrix(A))
-
-    def test_rejects_inf_off_diagonal(self):
-        # an inf makes the symmetry tolerance infinite as well
-        A = np.eye(3)
-        A[0, 1] = A[1, 0] = np.inf
-        with pytest.raises(NumericalError):
-            eigendecompose(_matrix(A))
+    def test_rejects_an_operator_matrix(self):
+        # an if/raise, not an assert: it must hold under python -O too
+        code = (
+            "import numpy as np\n"
+            "from fraclap import ContractError, OperatorMatrix, eigendecompose\n"
+            "try:\n"
+            "    eigendecompose(OperatorMatrix(grid=None, entries=np.eye(3)))\n"
+            "except ContractError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "eigendecompose takes a Hamiltonian, got OperatorMatrix"
 
     def test_degenerate_pair_gets_definite_parity(self):
         # the free periodic problem is doubly degenerate above the ground
@@ -157,49 +181,62 @@ class TestParityBlocks:
             assert sorted(labels[i : i + 2]) == ["even", "odd"]
             assert spectrum.eigenvalues[i + 1] - spectrum.eigenvalues[i] <= 1e-12
 
-    def test_uneven_potential_takes_full_route(self):
-        spec_h = HamiltonianSpec(
-            alpha=1.5, potential=lambda x: x + x * x, kind=BasisKind.DIRICHLET, N=12
-        )
-        H = assemble(spec_h, 4.0)
+    def test_uneven_potential_takes_coupled_solve(self):
+        H = _hamiltonian(lambda x: x + x * x)
         spectrum = eigendecompose(H)
-        assert spectrum.parities is None
+        # every state has coefficients on both the even and the odd mode columns
+        assert all(np.array_equal(block.at, np.arange(H.grid.dim)) for block in spectrum.blocks)
+        assert "entries" not in vars(H)
         np.testing.assert_allclose(
             spectrum.eigenvalues, np.linalg.eigvalsh(H.entries), rtol=0, atol=1e-12
         )
 
+    def test_parity_tolerance_applies_to_the_mirror_differences(self):
+        # eps x makes |V_a - V_Pa| <= 8 eps; against 1e-14 max|V| (~1e-13 here)
+        # eps = 1e-15 leaves the blocks apart, each state of exact parity,
+        # and eps = 1e-12 couples them
+        for eps, apart in ((1e-15, True), (1e-12, False)):
+            spectrum = eigendecompose(_hamiltonian(lambda x: x * x + eps * x))
+            assert (sum(len(b.at) for b in spectrum.blocks) == spectrum.grid.dim) == apart
+            perm, signs = parity_map(spectrum.grid)
+            V = spectrum.eigenvectors
+            PV = signs[:, None] * V[perm]
+            impurity = np.minimum(np.abs(V - PV).max(axis=0), np.abs(V + PV).max(axis=0))
+            assert (impurity.max() == 0.0) == apart
+
     @pytest.mark.parametrize("kind", list(BasisKind))
     def test_even_potential_forms_no_grid_matrix(self, kind):
-        spec_h = HamiltonianSpec(alpha=1.5, potential=lambda x: x * x, kind=kind, N=12)
-        H = assemble(spec_h, 4.0)
-        assert eigendecompose(H).parities is not None
+        H = _hamiltonian(EVEN, kind=kind)
+        spectrum = eigendecompose(H)
+        # two independent blocks: each state sits in one of them
+        assert sum(len(block.at) for block in spectrum.blocks) == H.grid.dim
         assert "entries" not in vars(H)
+
+
+def _check_mode_transform_up_to_sign(potential, kind):
+    H = _hamiltonian(potential, kind=kind, N=24, L=5.0)
+    spectrum = eigendecompose(H)
+    states = [mode_state(spectrum, i) for i in range(len(spectrum.eigenvalues))]
+    assert "eigenvectors" not in vars(spectrum)
+    for i, y in enumerate(states):
+        ref = H.modes.T @ spectrum.eigenvectors[:, i]
+        assert min(np.abs(y - ref).max(), np.abs(y + ref).max()) <= 1e-13
 
 
 class TestModeState:
     @pytest.mark.parametrize("kind", list(BasisKind))
     def test_even_potential_is_mode_transform_up_to_sign(self, kind):
-        H = assemble(HamiltonianSpec(alpha=1.5, potential=lambda x: x * x, kind=kind, N=24), 5.0)
-        spectrum = eigendecompose(H)
-        assert spectrum.modes is not None
-        states = [mode_state(spectrum, i) for i in range(len(spectrum.eigenvalues))]
-        assert "eigenvectors" not in vars(spectrum)
-        for i, y in enumerate(states):
-            ref = H.modes.T @ spectrum.eigenvectors[:, i]
-            assert min(np.abs(y - ref).max(), np.abs(y + ref).max()) <= 1e-13
+        _check_mode_transform_up_to_sign(EVEN, kind)
 
     @pytest.mark.parametrize("kind", list(BasisKind))
-    def test_full_eigh_gives_the_grid_vector(self, kind):
-        H = assemble(HamiltonianSpec(alpha=1.5, potential=lambda x: x * x + 0.7 * x, kind=kind, N=24), 5.0)
-        spectrum = eigendecompose(H)
-        assert spectrum.modes is None
-        for i in range(len(spectrum.eigenvalues)):
-            np.testing.assert_array_equal(mode_state(spectrum, i), spectrum.eigenvectors[:, i])
+    def test_uneven_potential_is_mode_transform_up_to_sign(self, kind):
+        _check_mode_transform_up_to_sign(UNEVEN, kind)
 
     def test_rejects_a_missing_state(self):
-        spectrum = eigendecompose(_matrix([[2.0, 1.0], [1.0, 2.0]]))
-        with pytest.raises(DimensionError):
-            mode_state(spectrum, 2)
+        spectrum = eigendecompose(_hamiltonian(EVEN))
+        for i in (-1, len(spectrum.eigenvalues)):
+            with pytest.raises(DimensionError):
+                mode_state(spectrum, i)
 
 
 class TestMathieuA0Scatter:
@@ -409,10 +446,9 @@ class TestEvolve:
     @pytest.mark.parametrize("kind", list(BasisKind))
     @pytest.mark.parametrize("potential", [lambda x: x * x, lambda x: x * x + 0.7 * x])
     def test_mode_space_evolution_matches_grid_vectors(self, kind, potential):
-        # even V: two parity blocks in the modes; uneven V: one full eigh (S = I)
+        # even V: two independent parity blocks; uneven V: one coupled solve
         spec_h = HamiltonianSpec(alpha=1.5, potential=potential, kind=kind, N=24)
         spectrum = eigendecompose(assemble(spec_h, 5.0))
-        assert (spectrum.modes is None) == (potential(1.0) != potential(-1.0))
         x = spectrum.grid.points
         psi0 = np.exp(-((x - 0.5) ** 2)) * (1.0 + 0.3j * np.sin(2.0 * x))
         V = spectrum.eigenvectors.astype(complex)

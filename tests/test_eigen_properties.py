@@ -1,9 +1,10 @@
-"""Property tests of the parity-block eigensolve over (kind, N, L, alpha).
+"""Property tests of the mode-space eigensolve over (kind, N, L, alpha).
 
-Even potentials are solved as two blocks; the result must be the spectrum of
-the whole matrix, orthonormal, and of exact parity state by state, with the
-parity of each state carried on the spectrum.  An uneven potential must take
-the full route, give the same spectrum and still be labelled state by state.
+Even potentials are solved as two parity blocks; the result must be the
+spectrum of the whole matrix, orthonormal, and of exact parity state by
+state.  An uneven potential couples the blocks; it must give the same
+spectrum and still be labelled state by state.  With V = 0 the levels are
+the kinetic diagonal itself.
 """
 
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclap import BasisKind, HamiltonianSpec, assemble, classify_parity, eigendecompose, parity_map
+from fraclap.eigen import parity_signs
 
 
 def _even_potential(beta, q):
@@ -97,13 +99,12 @@ def test_every_state_has_exact_parity(case):
 def test_block_parities_match_reflection_weights(case):
     spectrum = eigendecompose(_hamiltonian(case))
     even_w, odd_w = _reflection_weights(spectrum)
-    assert spectrum.parities is not None
-    np.testing.assert_array_equal(spectrum.parities, np.where(even_w > odd_w, 1, -1))
+    np.testing.assert_array_equal(parity_signs(spectrum), np.where(even_w > odd_w, 1, -1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(cases)
-def test_uneven_potential_takes_full_route(case):
+def test_uneven_potential_takes_coupled_solve(case):
     H = _hamiltonian(case, potential=lambda x: x + x * x)
     assert not _commutes_with_reflection(H)
     spectrum = eigendecompose(H)
@@ -111,9 +112,16 @@ def test_uneven_potential_takes_full_route(case):
     assert np.abs(spectrum.eigenvalues - expected).max() <= 1e-12 * _scale(H)
     V = spectrum.eigenvectors
     assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-12
-    # no block parities, so the labels come from the reflection weights
-    assert spectrum.parities is None
+    # the labels come from the mode masses; the grid reflection weights are the oracle
     even_w, odd_w = _reflection_weights(spectrum)
     mixed = (even_w > 0.1) & (odd_w > 0.1)
     parities = np.where(mixed, "mixed", np.where(even_w >= odd_w, "even", "odd"))
     assert [parity for parity, _ in classify_parity(spectrum)] == parities.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_free_spectrum_is_the_kinetic_diagonal(case):
+    # V = 0 leaves each block diagonal, so eigh returns its entries as they are
+    H = _hamiltonian(case, potential=lambda x: 0.0)
+    np.testing.assert_array_equal(eigendecompose(H).eigenvalues, np.sort(H.kinetic))
