@@ -9,12 +9,13 @@ to the grid samples (DST-I, DCT-II, real DFT, odd-harmonic real DFT), so the
 kinetic matrix is S diag(|p_n|^alpha) S^T, its trace a sum over the modes.
 Every Hamiltonian goes through one route: ``HamiltonianSpec`` -> ``assemble``
 -> ``eigendecompose``, with ``find_pms_length`` for the box size.
-``assemble`` returns a ``Hamiltonian`` held in those modes, always solved
-over its even and its odd mode columns: two independent blocks when V is
-even, one coupled matrix of them otherwise.  The ``Spectrum`` keeps its
-states in the modes and forms grid eigenvectors only when they are read.  The
-momentum representation of |p|^alpha + x^2 is the same route with kinetic
-exponent 2 and potential |x|^alpha.
+``assemble`` returns a ``Hamiltonian`` held in those modes, with S kept as
+its even and its odd half-block, always solved over those two sets of mode
+columns: two independent blocks when V is even, one coupled matrix of them
+otherwise.  The ``Spectrum`` keeps its states in the modes and forms grid
+eigenvectors only when they are read.  The momentum representation of
+|p|^alpha + x^2 is the same route with kinetic exponent 2 and potential
+|x|^alpha.
 
 Typical use:
 
@@ -36,6 +37,7 @@ from .basis import (
     eval_sampling_function,
     interpolate,
     make_grid,
+    parity_map,
     quadrature_weights,
 )
 from .eigen import (
@@ -47,7 +49,6 @@ from .eigen import (
     evolve,
     mode_coefficients,
     mode_state,
-    parity_map,
     reconstruct,
 )
 from .errors import (

@@ -10,7 +10,10 @@ The same sampling set is also a set of free modes with momenta n pi / (2L)
 (``mode_numbers``) and an orthogonal real transform from modes to grid
 samples (``mode_matrix``): a DST-I for Dirichlet, a DCT-II for Neumann, a
 real DFT for periodic and an odd-harmonic real DFT for antiperiodic grids.
-Every even spectral multiplier m(|p|) is diagonal in these modes.
+Every even spectral multiplier m(|p|) is diagonal in these modes.  Every
+mode is even or odd under x -> -x, so solves hold S as its two half-blocks
+(``parity_halves``): the even and the odd mode columns on one node of each
+mirror pair plus the fixed nodes, from which the mirror rows follow.
 """
 
 from __future__ import annotations
@@ -130,6 +133,36 @@ def _table(fn, period: int) -> np.ndarray:
     return fn(2.0 * np.pi * np.arange(period) / period)
 
 
+def _mode_columns(grid: Grid, rows: np.ndarray, sign: int) -> np.ndarray:
+    """mode_matrix(grid)[np.ix_(rows, cols)] for the mode columns cols of parity ``sign``.
+
+    All columns of one parity sample one scaled sine or cosine table (the
+    cosines of a periodic or antiperiodic pair are its even columns, the
+    sines its odd ones), so the entries asked for are the only ones looked
+    up.  The result is C-contiguous.
+    """
+    N, M = grid.N, 2 * grid.N + 1
+    n = mode_numbers(grid)[mode_parities(grid) == sign]
+    k = grid.indices[rows]
+    if grid.kind == BasisKind.DIRICHLET:
+        a, period, table = k + N, 4 * N, _table(np.sin, 4 * N) / np.sqrt(N)
+    elif grid.kind == BasisKind.NEUMANN:
+        a, period, table = 2 * k + M, 4 * M, _table(np.cos, 4 * M) * np.sqrt(2.0 / M)
+    else:
+        fn = np.cos if sign == 1 else np.sin
+        if grid.kind == BasisKind.PERIODIC:
+            a, period, scale = k, 2 * M, np.sqrt(2.0 / M)
+        else:  # ANTIPERIODIC
+            a, period, scale = k, 4 * N, 1.0 / np.sqrt(N)
+        table = _table(fn, period) * scale
+    phase = a[:, None] * n
+    phase %= period
+    X = table[phase]
+    if n[0] == 0:  # the constant mode of a Neumann or periodic grid
+        X[:, 0] = 1.0 / np.sqrt(M)
+    return X
+
+
 def mode_matrix(grid: Grid) -> np.ndarray:
     """Orthogonal matrix S whose column i samples free mode i on the grid.
 
@@ -140,33 +173,14 @@ def mode_matrix(grid: Grid) -> np.ndarray:
     (2j + 1 for Neumann) reduced modulo its period before the lookup in a
     scaled sine or cosine table, so no large trig argument and no rounded
     multiple of pi enters, and only the real table each column needs is
-    gathered.
+    gathered.  Solves hold S as its two ``parity_halves`` instead; the dense
+    S serves the oracles.
     """
-    N = grid.N
-    n = mode_numbers(grid)[None, :]
-    if grid.kind == BasisKind.DIRICHLET:
-        phase = (grid.indices + N)[:, None] * n
-        phase %= 4 * N
-        return (_table(np.sin, 4 * N) / np.sqrt(N))[phase]
-    M = 2 * N + 1
-    if grid.kind == BasisKind.NEUMANN:
-        phase = (2 * grid.indices + M)[:, None] * n
-        phase %= 4 * M
-        S = (_table(np.cos, 4 * M) * np.sqrt(2.0 / M))[phase]
-        S[:, 0] = 1.0 / np.sqrt(M)
-        return S
-    # the last 2N columns alternate cosine and sine of each mode pair
-    k = grid.indices[:, None]
-    if grid.kind == BasisKind.PERIODIC:
-        S = np.empty((M, M))
-        S[:, 0] = 1.0 / np.sqrt(M)
-        phase, period, scale = k * n[:, 1::2], 2 * M, np.sqrt(2.0 / M)
-    else:  # ANTIPERIODIC
-        S = np.empty((2 * N, 2 * N))
-        phase, period, scale = k * n[:, ::2], 4 * N, 1.0 / np.sqrt(N)
-    phase %= period
-    S[:, -2 * N::2] = (_table(np.cos, period) * scale)[phase]
-    S[:, 1 - 2 * N::2] = (_table(np.sin, period) * scale)[phase]
+    S = np.empty((grid.dim, grid.dim))
+    rows = np.arange(grid.dim)
+    parities = mode_parities(grid)
+    for sign in (1, -1):
+        S[:, parities == sign] = _mode_columns(grid, rows, sign)
     return S
 
 
@@ -184,6 +198,79 @@ def mode_parities(grid: Grid) -> np.ndarray:
     signs = np.ones(len(n), dtype=int)
     signs[1 - 2 * grid.N::2] = -1
     return signs
+
+
+def parity_map(grid: Grid):
+    """Signed permutation realizing x -> -x on sampled values.
+
+    Returns (perm, signs) such that (Pv)[i] = signs[i] * v[perm[i]].  On the
+    antiperiodic grid the point -L has no mirror node; its mirror value at
+    +L is supplied by the boundary relation f(L) = -f(-L).
+    """
+    perm = np.arange(grid.dim - 1, -1, -1)
+    signs = np.ones(grid.dim)
+    if grid.kind == BasisKind.ANTIPERIODIC:
+        perm = np.roll(perm, 1)  # 0, dim - 1, ..., 1
+        signs[0] = -1.0
+    return perm, signs
+
+
+@dataclass(frozen=True)
+class HalfBlock:
+    """The mode columns of one parity, on the grid rows that determine them.
+
+    ``rows`` are the lower node of each mirror pair, then the fixed nodes of
+    parity ``sign``; ``cols`` are the mode columns of that parity, and
+    ``modes`` is mode_matrix(grid)[np.ix_(rows, cols)], C-contiguous.  A
+    column's sample at the mirror of a pair node is ``sign`` times its
+    sample there, and it vanishes (to rounding) on the fixed nodes of the
+    other parity.
+    """
+
+    sign: int
+    rows: np.ndarray
+    cols: np.ndarray
+    modes: np.ndarray
+
+
+@dataclass(frozen=True)
+class ParityHalves:
+    """The mode matrix S of a grid held as its even and its odd half-block.
+
+    ``perm`` is the grid reflection of ``parity_map``, ``pairs`` the lower
+    node of each mirror pair and ``blocks`` the two ``HalfBlock``s, even
+    first.  Together they give every entry of S to rounding, in about half
+    its memory.
+    """
+
+    perm: np.ndarray
+    pairs: np.ndarray
+    blocks: tuple[HalfBlock, HalfBlock]
+
+    @property
+    def mirror(self) -> np.ndarray:
+        """The mirror node of each pair node."""
+        return self.perm[self.pairs]
+
+
+def parity_halves(grid: Grid) -> ParityHalves:
+    """The even and the odd half-block of ``mode_matrix(grid)``, built without S.
+
+    Each is looked up from its integer phases, as ``mode_matrix`` does, over
+    its own rows and columns only: about half the table work of S, and the
+    same bits as the gathers S[np.ix_(rows, cols)].
+    """
+    perm, signs = parity_map(grid)
+    nodes = np.arange(grid.dim)
+    fixed = perm == nodes
+    pairs = nodes[perm > nodes]
+    parities = mode_parities(grid)
+    blocks = []
+    for sign in (1, -1):
+        rows = np.concatenate((pairs, nodes[fixed & (signs == sign)]))
+        cols = np.flatnonzero(parities == sign)
+        blocks.append(HalfBlock(sign, rows, cols, _mode_columns(grid, rows, sign)))
+    return ParityHalves(perm, pairs, tuple(blocks))
 
 
 def phase_period(grid: Grid) -> int:

@@ -3,9 +3,11 @@
 Every mode column of the grid has a definite parity (``basis.mode_parities``),
 so a ``Hamiltonian`` is solved over its even and its odd mode columns: two
 independent blocks when V is even, or one coupled matrix of the two when it
-is not.  No dense grid matrix is formed.  For an even V every eigenvector has
-an exact parity, also inside the free periodic cos/sin pairs that are
-degenerate in the Mathieu problem at q = 0.  The ``Spectrum`` keeps the
+is not.  Every product runs on the two half-blocks of S that the
+Hamiltonian holds (``basis.parity_halves``); neither S nor a dense grid
+matrix is formed.  For an even V every eigenvector has an exact parity, also
+inside the free periodic cos/sin pairs that are degenerate in the Mathieu
+problem at q = 0.  The ``Spectrum`` keeps the
 states as mode coefficients: the grid vectors (``Spectrum.eigenvectors``,
 with a fixed sign convention: largest-magnitude component positive) are
 formed only when something reads them.  ``evolve`` never does; it works in
@@ -24,11 +26,12 @@ import numpy as np
 from .basis import (
     BasisKind,
     Grid,
+    HalfBlock,
+    ParityHalves,
     coefficients,
     interpolate,
     mode_matrix,
     mode_numbers,
-    mode_parities,
     quadrature_weights,
 )
 from .errors import ContractError, DimensionError, NumericalError
@@ -58,58 +61,44 @@ class ModeBlock:
 class Spectrum:
     """Ascending eigenvalues with orthonormal states held in the free modes.
 
-    ``modes`` is the mode matrix S of the Hamiltonian (shared, not copied)
-    and ``blocks`` its even and its odd mode columns, in that order.  Up to
-    its sign, the grid vector of state i is the sum over the blocks of
-    S[:, cols] @ vectors[:, j] with at[j] = i.  An even V puts each state in
-    one block; any other V puts every state in both.
+    ``halves`` are the mode half-blocks of the Hamiltonian (shared, not
+    copied) and ``blocks`` the states over their even and their odd mode
+    columns, in that order.  Up to its sign, the grid vector of state i is
+    the sum over the blocks of S[:, cols] @ vectors[:, j] with at[j] = i, for
+    the mode matrix S.  An even V puts each state in one block; any other V
+    puts every state in both.
     """
 
     eigenvalues: np.ndarray
     grid: Grid
     blocks: tuple[ModeBlock, ...]
-    modes: np.ndarray
+    halves: ParityHalves
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """The states as grid vectors (columns), each with its largest component positive.
 
-        Each block's part is formed on its rows (one node of each mirror
-        pair, then the fixed nodes) and put there and, times the block
-        parity, at the mirror nodes.  A block of a coupled solve holds every
-        state, in order, and adds its part to the other block's; a block of
-        an even V holds states of its own and writes its part in place, about
-        twice as fast as a fancy-indexed add (18 against 32 ms at N = 500).
+        Each block's part X_b @ Y_b is formed on its half-block rows (one
+        node of each mirror pair, then the fixed nodes) and put there and,
+        times the block parity, at the mirror nodes.  A block of a coupled
+        solve holds every state, in order, and adds its part to the other
+        block's; a block of an even V holds states of its own and writes its
+        part in place, about twice as fast as a fancy-indexed add (18 against
+        32 ms at N = 500).
         """
-        perm, pairs, layout = _parity_layout(self.grid)
-        mirror = perm[pairs]
+        mirror, n_pairs = self.halves.mirror, len(self.halves.pairs)
         dim = len(self.eigenvalues)
         vectors = np.zeros((dim, dim), order="F")  # _fix_signs reduces columns uncopied
-        for (sign, rows, _), block in zip(layout, self.blocks):
-            G = self.modes[np.ix_(rows, block.cols)] @ block.vectors
+        for half, block in zip(self.halves.blocks, self.blocks):
+            G = half.modes @ block.vectors
             if len(block.at) == dim:
-                vectors[rows] += G
-                vectors[mirror] += sign * G[: len(pairs)]
+                vectors[half.rows] += G
+                vectors[mirror] += half.sign * G[:n_pairs]
             else:
-                vectors[np.ix_(rows, block.at)] = G
-                G[: len(pairs)] *= sign
-                vectors[np.ix_(mirror, block.at)] = G[: len(pairs)]
+                vectors[np.ix_(half.rows, block.at)] = G
+                G[:n_pairs] *= half.sign
+                vectors[np.ix_(mirror, block.at)] = G[:n_pairs]
         return _fix_signs(vectors)
-
-
-def parity_map(grid: Grid):
-    """Signed permutation realizing x -> -x on sampled values.
-
-    Returns (perm, signs) such that (Pv)[i] = signs[i] * v[perm[i]].  On the
-    antiperiodic grid the point -L has no mirror node; its mirror value at
-    +L is supplied by the boundary relation f(L) = -f(-L).
-    """
-    perm = np.arange(grid.dim - 1, -1, -1)
-    signs = np.ones(grid.dim)
-    if grid.kind == BasisKind.ANTIPERIODIC:
-        perm = np.roll(perm, 1)  # 0, dim - 1, ..., 1
-        signs[0] = -1.0
-    return perm, signs
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
@@ -135,15 +124,15 @@ def _eigh(A: np.ndarray):
 def eigendecompose(H: Hamiltonian) -> Spectrum:
     """Full spectrum of a Hamiltonian, solved over its even and its odd mode columns.
 
-    On the rows and columns of ``_parity_layout`` the even-even and the
-    odd-odd blocks are diag(kinetic_b) + X_b^T diag(V+) X_b, with
-    X_b = S[rows, cols_b], V+ = V_a + V_Pa on a mirror pair (a, Pa) and V on a
-    fixed node.  The even-odd block is X_e^T diag(V-) X_o over the pairs only,
-    with V- = V_a - V_Pa, since one of the two parities vanishes on a fixed
-    node.  An even V has V- = 0 (to ``_PARITY_TOL``): its two blocks are
-    solved apart, with V+ = 2 V_a, and their spectra merge in ascending order
-    by a stable sort, so an exact tie puts the even state first.  Any other V
-    takes one ``eigh`` of the coupled matrix [[A_ee, C], [C^T, A_oo]], whose
+    On the half-blocks X_b = S[rows_b, cols_b] of ``H.halves`` the even-even
+    and the odd-odd blocks are diag(kinetic_b) + X_b^T diag(V+) X_b, with
+    V+ = V_a + V_Pa on a mirror pair (a, Pa) and V on a fixed node.  The
+    even-odd block is X_e^T diag(V-) X_o over the pairs only, with
+    V- = V_a - V_Pa, since one of the two parities vanishes on a fixed node.
+    An even V has V- = 0 (to ``_PARITY_TOL``): its two blocks are solved
+    apart, with V+ = 2 V_a, and their spectra merge in ascending order by a
+    stable sort, so an exact tie puts the even state first.  Any other V takes
+    one ``eigh`` of the coupled matrix [[A_ee, C], [C^T, A_oo]], whose
     eigenvectors are kept as their even and their odd rows.
     """
     if not isinstance(H, Hamiltonian):
@@ -154,55 +143,40 @@ def eigendecompose(H: Hamiltonian) -> Spectrum:
             f"L = {H.grid.L:g}: the box is too small for its mode momenta; "
             "use a larger L (or a lower alpha or N)"
         )
-    perm, pairs, layout = _parity_layout(H.grid)
+    halves = H.halves
+    pairs, mirror = halves.pairs, halves.mirror
     V = H.potential
-    minus = V[pairs] - V[perm[pairs]]
+    minus = V[pairs] - V[mirror]
     even = np.abs(minus).max(initial=0.0) <= _PARITY_TOL * max(1.0, float(np.abs(V).max()))
-    plus = 2.0 * V[pairs] if even else V[pairs] + V[perm[pairs]]
-    diagonal = [(rows, cols, np.concatenate((plus, V[rows[len(pairs):]]))) for _, rows, cols in layout]
+    plus = 2.0 * V[pairs] if even else V[pairs] + V[mirror]
+    weights = [np.concatenate((plus, V[half.rows[len(pairs):]])) for half in halves.blocks]
     if even:
         # each block matrix is formed just before its eigh and dropped after it
-        solved = [(cols, *_eigh(_mode_block(H, rows, cols, wV))) for rows, cols, wV in diagonal]
+        solved = [
+            (half.cols, *_eigh(_mode_block(half, H.kinetic, wV)))
+            for half, wV in zip(halves.blocks, weights)
+        ]
         w = np.concatenate((solved[0][1], solved[1][1]))
         order = np.argsort(w, kind="stable")
         at = np.split(np.argsort(order), [len(solved[0][1])])
         blocks = tuple(ModeBlock(cols, at_b, Y) for (cols, _, Y), at_b in zip(solved, at))
-        return Spectrum(w[order], H.grid, blocks, H.modes)
-    (_, _, cols_e), (_, _, cols_o) = layout
-    A_ee, A_oo = (_mode_block(H, *block) for block in diagonal)
-    C = (H.modes[np.ix_(pairs, cols_e)].T * minus) @ H.modes[np.ix_(pairs, cols_o)]
+        return Spectrum(w[order], H.grid, blocks, halves)
+    even_half, odd_half = halves.blocks
+    A_ee, A_oo = (_mode_block(half, H.kinetic, wV) for half, wV in zip(halves.blocks, weights))
+    C = (even_half.modes[: len(pairs)].T * minus) @ odd_half.modes[: len(pairs)]
     w, Y = _eigh(np.block([[A_ee, C], [C.T, A_oo]]))
     states = np.arange(len(w))
-    blocks = (ModeBlock(cols_e, states, Y[: len(cols_e)]), ModeBlock(cols_o, states, Y[len(cols_e):]))
-    return Spectrum(w, H.grid, blocks, H.modes)
+    Y_e, Y_o = np.split(Y, [len(even_half.cols)])
+    blocks = (ModeBlock(even_half.cols, states, Y_e), ModeBlock(odd_half.cols, states, Y_o))
+    return Spectrum(w, H.grid, blocks, halves)
 
 
-def _mode_block(H: Hamiltonian, rows, cols, wV) -> np.ndarray:
-    """diag(kinetic[cols]) + X^T diag(wV) X; X = S[rows, cols] dies before the eigh."""
-    X = H.modes[np.ix_(rows, cols)]
+def _mode_block(half: HalfBlock, kinetic: np.ndarray, wV: np.ndarray) -> np.ndarray:
+    """diag(kinetic[cols]) + X^T diag(wV) X for the half-block X of ``half``."""
+    X = half.modes
     A = (X.T * wV) @ X
-    A.flat[:: len(cols) + 1] += H.kinetic[cols]
+    A.flat[:: len(half.cols) + 1] += kinetic[half.cols]
     return A
-
-
-def _parity_layout(grid: Grid):
-    """Rows and mode columns of the even and the odd block of ``grid``.
-
-    Returns (perm, pairs, layout): the grid reflection of ``parity_map``, the
-    lower node of each mirror pair, and one (sign, rows, cols) per block,
-    even first.  The rows are the pair nodes, then the fixed nodes of the
-    block's parity; the columns are the mode columns of that parity.
-    """
-    perm, signs = parity_map(grid)
-    nodes = np.arange(grid.dim)
-    fixed = perm == nodes
-    pairs = nodes[perm > nodes]
-    layout = []
-    for sign in (1, -1):
-        rows = np.concatenate((pairs, nodes[fixed & (signs == sign)]))
-        cols = np.flatnonzero(mode_parities(grid) == sign)
-        layout.append((sign, rows, cols))
-    return perm, pairs, layout
 
 
 def mode_state(spec: Spectrum, i: int) -> np.ndarray:
@@ -308,14 +282,21 @@ def _grid_samples(spec: Spectrum, psi0) -> np.ndarray:
 def mode_coefficients(spec: Spectrum, psi0) -> np.ndarray:
     """Expansion coefficients of grid samples psi0, state by state, from the modes.
 
-    c is the sum over the blocks of Y_b^T (S^T psi0)[cols_b], so no grid
-    vector is formed.  Each state keeps the sign of its solution, so c equals
-    ``evolution_coefficients`` up to one sign per state, and |c| is the same.
+    c is the sum over the blocks of Y_b^T a_b, with a_b = X_b^T u_b the mode
+    amplitudes of psi0 over the block's columns: u_b is psi0 folded onto the
+    half-block rows, psi0[a] + s psi0[Pa] on a pair node a (s the block
+    parity) and psi0 on a fixed node.  No grid vector is formed.  Each state
+    keeps the sign of its solution, so c equals ``evolution_coefficients`` up
+    to one sign per state, and |c| is the same.
     """
-    a = _times_complex(spec.modes.T, _grid_samples(spec, psi0))
+    psi0 = _grid_samples(spec, psi0)
+    mirror, n_pairs = spec.halves.mirror, len(spec.halves.pairs)
     c = np.zeros(len(spec.eigenvalues), dtype=complex)
-    for block in spec.blocks:
-        c[block.at] += _times_complex(block.vectors.T, a[block.cols])
+    for half, block in zip(spec.halves.blocks, spec.blocks):
+        u = psi0[half.rows]
+        u[:n_pairs] += half.sign * psi0[mirror]
+        a = _times_complex(half.modes.T, u)
+        c[block.at] += _times_complex(block.vectors.T, a)
     return c
 
 
@@ -326,20 +307,24 @@ def evolve(spec: Spectrum, psi0, hbar: float, t) -> np.ndarray:
     the exact discrete analogue of the continuum overlap integrals; each is
     carried forward by the phase exp(-i t E_n / hbar).  The work stays in
     the modes: c from ``mode_coefficients``, then the mode amplitudes
-    Z[cols_b] = Y_b (exp(-i E_b t / hbar) c_b) for every t, then S Z, each a
-    pair of real matrix products.  A scalar t gives shape (dim,), a sequence
-    (dim, len(t)).  At t = 0 this returns psi0 itself (the eigenbasis is
-    complete on the grid).
+    Z_b = Y_b (exp(-i E_b t / hbar) c_b) for every t, then X_b Z_b on each
+    half-block's rows and, times the block parity, on the mirrors of its
+    pair rows, each a pair of real matrix products.  A scalar t gives shape
+    (dim,), a sequence (dim, len(t)).  At t = 0 this returns psi0 itself
+    (the eigenbasis is complete on the grid).
     """
     c = mode_coefficients(spec, psi0)
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise DimensionError(f"t must be a number or a 1-D sequence, got shape {times.shape}")
     phases = np.exp(-1j * times.reshape(-1) * spec.eigenvalues[:, None] / hbar)
-    Z = np.empty(phases.shape, dtype=complex)
-    for block in spec.blocks:
-        Z[block.cols] = _times_complex(block.vectors, phases[block.at] * c[block.at, None])
-    psi = _times_complex(spec.modes, Z)
+    mirror, n_pairs = spec.halves.mirror, len(spec.halves.pairs)
+    psi = np.zeros(phases.shape, dtype=complex)
+    for half, block in zip(spec.halves.blocks, spec.blocks):
+        Z = _times_complex(block.vectors, phases[block.at] * c[block.at, None])
+        G = _times_complex(half.modes, Z)
+        psi[half.rows] += G
+        psi[mirror] += half.sign * G[:n_pairs]
     return psi if times.ndim else psi[:, 0]
 
 

@@ -3,10 +3,12 @@
 The Hamiltonian is H = D * hbar**alpha * |p|^alpha + diag(V(x_k)).  The
 kinetic matrix is orthogonally similar to diag(|p_n|^alpha) over the free
 modes of the grid, so ``assemble`` returns a ``Hamiltonian`` that keeps the
-mode matrix, that diagonal and the potential samples; its dense grid matrix
-is formed only on demand.  The box half-length L is an unphysical parameter
-of the sampling set; it is chosen at the minimum of trace(H(L)), a sum over
-the mode momenta plus the potential samples, with no matrix built.
+mode matrix S as its even and its odd half-block (``basis.parity_halves``),
+that diagonal and the potential samples; S itself and the dense grid matrix
+are formed only when something reads ``entries``.  The box half-length L is
+an unphysical parameter of the sampling set; it is chosen at the minimum of
+trace(H(L)), a sum over the mode momenta plus the potential samples, with no
+matrix built.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .basis import BasisKind, Grid, make_grid, mode_matrix, mode_momenta
+from .basis import BasisKind, Grid, ParityHalves, make_grid, mode_momenta, parity_halves
 from .errors import ConfigError, EvaluationError, NumericalError, ParameterError
 from .operators import OperatorMatrix, abs_power_entries
 from .potential import PotentialExpr
@@ -26,6 +28,11 @@ from .potential import PotentialExpr
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Doublings of the box-size search beyond each edge of its bracket.
 _MAX_WIDENINGS = 8
+# Why a trace can still fall past the upper limit of the box-size search.
+_UNBOUNDED_BELOW = (
+    "The potential is most likely unbounded below (e.g. -x^2) or too weak to "
+    "confine the states; check it, or set L explicitly"
+)
 
 
 @dataclass(frozen=True)
@@ -107,24 +114,25 @@ def sample_on_grid(fn, points, name: str = "potential") -> np.ndarray:
 class Hamiltonian:
     """H = S diag(kinetic) S^T + diag(potential), held in the free modes of its grid.
 
-    ``modes`` is the orthogonal mode matrix S of ``basis.mode_matrix``,
-    ``kinetic`` the diagonal D * hbar**alpha * |p_n|^alpha over its columns
-    (from (-hbar**2 Laplacian)^(alpha/2) = hbar**alpha |p|^alpha) and
+    ``halves`` holds the orthogonal mode matrix S of ``basis.mode_matrix`` as
+    its even and its odd half-block, ``kinetic`` the diagonal
+    D * hbar**alpha * |p_n|^alpha over the columns of S (from
+    (-hbar**2 Laplacian)^(alpha/2) = hbar**alpha |p|^alpha) and
     ``potential`` the samples V(x_k).  The dense grid matrix ``entries`` is
-    the oracle of tests and checks, formed only when something reads it; no
-    solve does.
+    the oracle of tests and checks, formed from a fresh S only when
+    something reads it; no solve does.
     """
 
     spec: HamiltonianSpec
     grid: Grid
-    modes: np.ndarray
+    halves: ParityHalves
     kinetic: np.ndarray
     potential: np.ndarray
 
     @cached_property
     def entries(self) -> np.ndarray:
         """D * hbar**alpha * |p|^alpha + diag(V(x_k)) as a dense grid matrix."""
-        entries = abs_power_entries(self.grid, self.spec.alpha, self.modes)
+        entries = abs_power_entries(self.grid, self.spec.alpha)
         entries *= self.spec.kinetic_prefactor
         entries.flat[:: self.grid.dim + 1] += self.potential
         return entries
@@ -138,17 +146,18 @@ def assemble(spec: HamiltonianSpec, L: float) -> Hamiltonian:
 def assemble_sweep(spec: HamiltonianSpec, L: float, potentials: Iterable) -> Iterator[Hamiltonian]:
     """``assemble`` on one grid for each potential in turn, in place of ``spec.potential``.
 
-    The modes and the kinetic diagonal do not depend on V, so every step
-    shares them.  An overflow of |p_n|^alpha is left as inf here;
-    ``eigen.eigendecompose`` rejects it with a NumericalError.
+    The mode half-blocks, with their parity layout, and the kinetic diagonal
+    do not depend on V, so every step shares them.  An overflow of
+    |p_n|^alpha is left as inf here; ``eigen.eigendecompose`` rejects it with
+    a NumericalError.
     """
     grid = make_grid(spec.kind, spec.N, L)
-    modes = mode_matrix(grid)
+    halves = parity_halves(grid)
     with np.errstate(over="ignore"):
         kinetic = spec.kinetic_prefactor * mode_momenta(grid) ** spec.alpha
     for potential in potentials:
         V = sample_on_grid(potential, grid.points)
-        yield Hamiltonian(replace(spec, potential=potential), grid, modes, kinetic, V)
+        yield Hamiltonian(replace(spec, potential=potential), grid, halves, kinetic, V)
 
 
 def trace(H: Hamiltonian | OperatorMatrix) -> float:
@@ -188,13 +197,17 @@ def _scan(trace_fn, Ls) -> np.ndarray:
     return traces
 
 
-def _minimize_scan(trace_fn, bracket, tol, scan_points=32) -> PmsResult:
+def _minimize_scan(
+    trace_fn, bracket, tol, lower_cause=_UNBOUNDED_BELOW, scan_points=32
+) -> PmsResult:
     """Coarse scan over ``bracket``, widened while its minimum sits on an edge.
 
     Each widening scans ``scan_points`` more points out to twice the upper
     edge (or half the lower one), up to ``_MAX_WIDENINGS`` times per side.
     The lowest scanned point and its two neighbours then bracket the
-    golden-section refinement.
+    golden-section refinement.  A trace that still falls at a limit is a
+    ConfigError, which gives ``lower_cause`` at the lower limit and
+    ``_UNBOUNDED_BELOW`` at the upper one.
     """
     lo, hi = bracket
     if not (0 < lo < hi):
@@ -210,9 +223,8 @@ def _minimize_scan(trace_fn, bracket, tol, scan_points=32) -> PmsResult:
         if widened[side] == _MAX_WIDENINGS:
             raise ConfigError(
                 f"trace(H(L)) still falls at L = {Ls[i]:g}, the {side} limit of "
-                "the box-size search: no box size minimizes it. The potential is "
-                "most likely unbounded below (e.g. -x^2) or too weak to confine "
-                "the states; check it, or set L explicitly"
+                "the box-size search: no box size minimizes it. "
+                + (_UNBOUNDED_BELOW if i else lower_cause)
             )
         widened[side] += 1
         edge = Ls[i]
@@ -243,6 +255,15 @@ def find_pms_length(
     bracket edge widens the scan geometrically beyond that edge; if the trace
     still falls after ``_MAX_WIDENINGS`` doublings (L up to 256 times the
     upper edge, or down to 1/256 of the lower one) a ``ConfigError`` names
-    the likely cause.  A returned result always has converged=True.
+    the likely cause: an unbounded-below potential at the upper limit, and at
+    the lower one a kinetic prefactor D * hbar^alpha so small that the
+    minimum lies at a box far below the bracket.  A returned result always
+    has converged=True.
     """
-    return _minimize_scan(lambda L: _trace_of(spec, L), bracket, tol)
+    lower_cause = (
+        f"The kinetic prefactor D * hbar^alpha = {spec.kinetic_prefactor:g} (D = "
+        f"{spec.d_alpha:g}, hbar = {spec.hbar:g}, alpha = {spec.alpha:g}) is most "
+        "likely too small beside the potential; rescale the units so that it is "
+        "nearer 1, or set L explicitly"
+    )
+    return _minimize_scan(lambda L: _trace_of(spec, L), bracket, tol, lower_cause)

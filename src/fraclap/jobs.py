@@ -216,8 +216,9 @@ def _mathieu_picks(spectrum: Spectrum) -> dict:
 def run_q_sweep(cfg: JobConfig) -> ResultTable:
     """Characteristic-value branches over a q range, labels tracked by overlap.
 
-    |p|^alpha + 2q cos(2z) on the periodic grid at L = pi; the mode matrix
-    and the kinetic diagonal are built once for the whole sweep.  The sweep
+    |p|^alpha + 2q cos(2z) on the periodic grid at L = pi; the mode
+    half-blocks, with their parity layout, and the kinetic diagonal are built
+    once for the whole sweep.  The sweep
     stays in the free modes: a branch's continuity is the overlap of its
     ``mode_state`` coefficients at consecutive steps, which equals the grid
     overlap up to rounding because every step shares the orthogonal S, and

@@ -34,7 +34,9 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float])
     """Collocation matrix of m(p) through the exponential expansion.
 
     Entry (k, j) is sum_n C_n(k, N) m(n pi / 2L) exp(i n pi x_j / 2L); the
-    imaginary parts must cancel and are dropped after a residue check.  On
+    imaginary parts must cancel and are dropped after a residue check.  m is
+    called once per momentum, as a Python float, and a complex or non-finite
+    value raises ``MultiplierDomainError`` for the first such momentum.  On
     the grid the exponential is exp(2 pi i n j / P) with the integer period
     P of ``basis.phase_period``, so each row is one inverse DFT of length P
     over the terms summed by n mod P, written straight into place: n < 0 at
@@ -44,13 +46,14 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float])
     terms fold over m modulo P/2 = 2N + 1 instead, half the DFT length.
     """
     grid = coeffs.grid
-    momenta = coeffs.n_values * np.pi / (2.0 * grid.L)
-    values = np.empty(len(momenta))
-    for i, p in enumerate(momenta):
-        v = m(p)
-        if np.iscomplexobj(v) or not np.isfinite(v):
-            raise MultiplierDomainError(p, v)
-        values[i] = v
+    momenta = (coeffs.n_values * np.pi / (2.0 * grid.L)).tolist()
+    raw = [m(p) for p in momenta]
+    values = np.array(raw)
+    if values.dtype != float or not np.isfinite(values).all():
+        for p, v in zip(momenta, raw):  # the first complex or non-finite value
+            if np.iscomplexobj(v) or not np.isfinite(v):
+                raise MultiplierDomainError(p, v)
+        values = values.astype(float)
 
     step = 2 if grid.kind == BasisKind.PERIODIC else 1  # fold n = step * m over m
     period = phase_period(grid) // step
@@ -72,19 +75,17 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float])
     return OperatorMatrix(grid=grid, entries=np.ascontiguousarray(raw.real))
 
 
-def abs_power_entries(grid: Grid, alpha: float, modes: np.ndarray | None = None) -> np.ndarray:
+def abs_power_entries(grid: Grid, alpha: float) -> np.ndarray:
     """Dense matrix of |p|^alpha on ``grid``, through its free modes.
 
-    With S the orthogonal mode matrix (``modes`` when the caller holds it,
-    else ``basis.mode_matrix(grid)``) and p_n the mode momenta the matrix is
-    S diag(p_n**alpha) S^T.  It is formed as B B^T with
+    With S = ``basis.mode_matrix(grid)`` and p_n the mode momenta the matrix
+    is S diag(p_n**alpha) S^T.  It is formed as B B^T with
     B = S diag(p_n**(alpha/2)), which makes it exactly symmetric.  An
     overflow (alpha = 200, say) yields inf/nan entries without a numpy
     warning, for the caller to check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        S = mode_matrix(grid) if modes is None else modes
-        B = S * mode_momenta(grid) ** (0.5 * alpha)
+        B = mode_matrix(grid) * mode_momenta(grid) ** (0.5 * alpha)
         return B @ B.T
 
 

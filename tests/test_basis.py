@@ -18,7 +18,7 @@ from fraclap import (
     parity_map,
     quadrature_weights,
 )
-from fraclap.basis import mode_matrix, mode_numbers, mode_parities
+from fraclap.basis import mode_matrix, mode_numbers, mode_parities, parity_halves
 
 ALL_KINDS = list(BasisKind)
 
@@ -166,6 +166,26 @@ class TestModes:
             expected[:, -2 * N::2] = z.real
             expected[:, 1 - 2 * N::2] = z.imag
         np.testing.assert_array_equal(mode_matrix(grid), expected)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("N", [2, 3, 7, 50, 500])
+    def test_half_blocks_are_gathers_of_the_mode_matrix(self, kind, N):
+        # each half-block, looked up on its own, has the bits of the np.ix_
+        # gather of S, in C order: the block products' rounding depends on both
+        grid = make_grid(kind, N, 1.3)
+        S = mode_matrix(grid)
+        halves = parity_halves(grid)
+        for half, sign in zip(halves.blocks, (1, -1)):
+            assert half.sign == sign
+            np.testing.assert_array_equal(half.cols, np.flatnonzero(mode_parities(grid) == sign))
+            np.testing.assert_array_equal(half.modes, S[np.ix_(half.rows, half.cols)])
+            assert half.modes.flags.c_contiguous
+        # every node is a pair node, its mirror, or a fixed node of one block
+        perm, _ = parity_map(grid)
+        np.testing.assert_array_equal(halves.mirror, perm[halves.pairs])
+        fixed = [half.rows[len(halves.pairs):] for half in halves.blocks]
+        nodes = np.concatenate((halves.pairs, halves.mirror, *fixed))
+        np.testing.assert_array_equal(np.sort(nodes), np.arange(grid.dim))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("N", [2, 3, 7, 50])

@@ -16,7 +16,7 @@ from fraclap import (
     mode_state,
     parse,
 )
-from fraclap import jobs
+from fraclap import config, jobs
 from fraclap.cli import main
 from fraclap.config import Preset, build_job_config, parse_config_text
 from fraclap.jobs import _potential_callable, fit_levels, run_q_sweep, run_spectrum
@@ -132,6 +132,27 @@ class TestBuildJobConfig:
     def test_wkb_compare_needs_oscillator(self):
         with pytest.raises(ConfigError):
             _cfg(mode="wkb-compare", potential="free")
+
+    def test_memory_preflight_refuses_a_large_N(self, monkeypatch):
+        # 7 dense 10001 x 10001 matrices are 5.2 GiB, against 1 GiB of memory;
+        # N = 1000 needs 0.21 GiB; nothing is allocated either way
+        monkeypatch.setattr(config, "_physical_memory", lambda: 2**30)
+        with pytest.raises(ConfigError) as info:
+            _cfg(N="5000")
+        message = str(info.value)
+        assert "N = 5000 needs about 5.22 GiB" in message
+        assert "10001 x 10001" in message and "1 GiB of physical memory" in message
+        assert _cfg(N="1000").N == 1000
+        # a convergence run is as large as its largest N
+        with pytest.raises(ConfigError, match="N = 5000"):
+            _cfg(mode="convergence", N="10, 5000, 20")
+        # an estimate past the float range still gives a message
+        with pytest.raises(ConfigError, match="needs about inf GiB"):
+            _cfg(N=str(10**400))
+
+    def test_memory_preflight_skipped_without_a_memory_figure(self, monkeypatch):
+        monkeypatch.setattr(config, "_physical_memory", lambda: None)
+        assert _cfg(N="5000").N == 5000
 
 
 class TestFitLevels:
@@ -448,7 +469,30 @@ class TestCliRun:
         )
         result = runner.invoke(main, ["run", "--config", cfg])
         assert result.exit_code == 1
-        assert "unbounded below" in result.output
+        assert "upper limit" in result.output and "unbounded below" in result.output
+        assert "D * hbar^alpha" not in result.output
+
+    def test_tiny_kinetic_prefactor_names_it(self, runner, tmp_path):
+        # at hbar = 1e-100 the trace minimum lies near L = 8e-43, far below the
+        # lower limit of the box-size search: the message names D * hbar^alpha
+        cfg = _write_cfg(
+            tmp_path,
+            "mode = spectrum\nalpha = 1.5\nN = 20\nhbar = 1e-100\npotential = x^2\nL = pms\n",
+        )
+        result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "lower limit" in result.output
+        assert "D * hbar^alpha = 1e-150" in result.output and "rescale the units" in result.output
+        assert "unbounded below" not in result.output
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_memory_preflight_exit_code(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(config, "_physical_memory", lambda: 2**30)
+        cfg = _write_cfg(tmp_path, "mode = spectrum\nalpha = 1.5\nN = 1000000\nL = 5\n")
+        result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "config error: N = 1000000 needs about" in result.output
+        assert "Traceback" not in result.output
 
     def test_overflowing_kinetic_term_exit_code(self, runner, tmp_path):
         # (n pi / 2)^200 overflows double precision: a numerical failure,

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from fraclap import (
     parity_map,
     reconstruct,
 )
+from fraclap.basis import mode_matrix, mode_parities
 
 FREE = lambda x: 0.0
 
@@ -64,7 +66,7 @@ class TestEigendecompose:
             order = np.argsort(H.kinetic, kind="stable")
             np.testing.assert_array_equal(spectrum.eigenvalues, H.kinetic[order])
             # a degenerate periodic cos/sin pair splits by parity, even (cos) first
-            overlaps = np.abs(H.modes.T @ spectrum.eigenvectors)
+            overlaps = np.abs(mode_matrix(H.grid).T @ spectrum.eigenvectors)
             np.testing.assert_allclose(overlaps[order, np.arange(H.grid.dim)], 1.0, rtol=0, atol=1e-14)
 
     def test_random_self_consistency(self):
@@ -213,13 +215,66 @@ class TestParityBlocks:
         assert "entries" not in vars(H)
 
 
+def _gather_route_eigenvalues(H):
+    """The levels of ``eigendecompose`` from np.ix_ gathers of the dense S.
+
+    This is the route the solve took while the Hamiltonian held S: the same
+    block products on gathered half-blocks, then the same eigh calls.
+    """
+    S = mode_matrix(H.grid)
+    perm, signs = parity_map(H.grid)
+    nodes = np.arange(H.grid.dim)
+    pairs, fixed = nodes[perm > nodes], perm == nodes
+    V = H.potential
+    minus = V[pairs] - V[perm[pairs]]
+    even = np.abs(minus).max(initial=0.0) <= 1e-14 * max(1.0, float(np.abs(V).max()))
+    plus = 2.0 * V[pairs] if even else V[pairs] + V[perm[pairs]]
+    blocks = []
+    for sign in (1, -1):
+        rows = np.concatenate((pairs, nodes[fixed & (signs == sign)]))
+        cols = np.flatnonzero(mode_parities(H.grid) == sign)
+        X = S[np.ix_(rows, cols)]
+        A = (X.T * np.concatenate((plus, V[rows[len(pairs):]]))) @ X
+        A.flat[:: len(cols) + 1] += H.kinetic[cols]
+        blocks.append((A, S[np.ix_(pairs, cols)]))
+    if even:
+        w = np.concatenate([np.linalg.eigh(A)[0] for A, _ in blocks])
+        return w[np.argsort(w, kind="stable")]
+    (A_ee, X_e), (A_oo, X_o) = blocks
+    C = (X_e.T * minus) @ X_o
+    return np.linalg.eigh(np.block([[A_ee, C], [C.T, A_oo]]))[0]
+
+
+class TestHalfBlocks:
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    @pytest.mark.parametrize("N", [7, 60, 200])
+    @pytest.mark.parametrize("potential", [EVEN, UNEVEN], ids=["even", "uneven"])
+    def test_levels_match_the_gather_route_bit_for_bit(self, kind, N, potential):
+        H = _hamiltonian(potential, kind=kind, N=N, L=6.0)
+        got = [float(e).hex() for e in eigendecompose(H).eigenvalues]
+        assert got == [float(e).hex() for e in _gather_route_eigenvalues(H)]
+
+    def test_dirichlet_solve_holds_no_dense_mode_matrix(self):
+        # assemble plus eigendecompose at N = 500 (dim 999): 10.1 MB peak under
+        # tracemalloc with the half-blocks, 16.0 MB while S (8.0 MB) was held
+        spec = HamiltonianSpec(alpha=1.5, potential=EVEN, kind=BasisKind.DIRICHLET, N=500)
+        tracemalloc.start()
+        try:
+            eigendecompose(assemble(spec, 10.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
+
+
 def _check_mode_transform_up_to_sign(potential, kind):
     H = _hamiltonian(potential, kind=kind, N=24, L=5.0)
     spectrum = eigendecompose(H)
     states = [mode_state(spectrum, i) for i in range(len(spectrum.eigenvalues))]
     assert "eigenvectors" not in vars(spectrum)
+    S = mode_matrix(H.grid)
     for i, y in enumerate(states):
-        ref = H.modes.T @ spectrum.eigenvectors[:, i]
+        ref = S.T @ spectrum.eigenvectors[:, i]
         assert min(np.abs(y - ref).max(), np.abs(y + ref).max()) <= 1e-13
 
 

@@ -34,8 +34,9 @@ class TestAssemble:
         assert np.abs(H.entries - K.entries).max() == 0
 
     @pytest.mark.parametrize("kind", list(BasisKind))
-    def test_entries_reuse_the_held_modes_bit_for_bit(self, kind):
-        # entries come from H.modes, not from a second mode_matrix, with the same bits
+    def test_entries_match_the_mode_route(self, kind):
+        # H holds only the half-blocks of S; entries build S afresh from the
+        # grid, with the bits of the free-mode route plus the V diagonal
         spec = HamiltonianSpec(
             alpha=1.3, potential=lambda x: x * x + 0.3 * x, kind=kind, N=9, d_alpha=0.7, hbar=1.9
         )

@@ -14,7 +14,7 @@ from fraclap import (
     make_grid,
     multiplier_matrix,
 )
-from fraclap.eigen import parity_map
+from fraclap.basis import parity_map
 
 ALL_KINDS = list(BasisKind)
 
@@ -108,6 +108,18 @@ class TestMultiplierMatrix:
         coeffs = _coeffs(BasisKind.DIRICHLET, 3, 1.0)
         with pytest.raises(MultiplierDomainError):
             multiplier_matrix(coeffs, lambda p: 1j * p)
+
+    def test_domain_error_names_the_first_bad_momentum(self):
+        # the momenta run n pi / 2L for n = -2N..2N; n = -6 is the first with
+        # |p| > 4, and the one the error names, as a plain float
+        coeffs = _coeffs(BasisKind.NEUMANN, 3, 1.0)
+        with pytest.raises(MultiplierDomainError) as info:
+            multiplier_matrix(coeffs, lambda p: math.inf if abs(p) > 4 else 1.0)
+        assert info.value.momentum == -6 * math.pi / 2
+        assert str(info.value) == f"multiplier is not finite at momentum {-3 * math.pi!r}: got inf"
+        with pytest.raises(MultiplierDomainError) as info:
+            multiplier_matrix(coeffs, lambda p: complex(p) if p > 0 else p)
+        assert info.value.momentum == math.pi / 2
 
 
 class TestFractionalLaplacian:
