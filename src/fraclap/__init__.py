@@ -13,7 +13,8 @@ Every Hamiltonian goes through one route: ``HamiltonianSpec`` -> ``assemble``
 its even and its odd half-block, always solved over those two sets of mode
 columns: two independent blocks when V is even, one coupled matrix of them
 otherwise.  The ``Spectrum`` keeps its states in the modes and forms grid
-eigenvectors only when they are read.  The momentum representation of
+eigenvectors only when they are read; ``eigendecompose(H, vectors=False)``
+solves for the eigenvalues alone.  The momentum representation of
 |p|^alpha + x^2 is the same route with kinetic exponent 2 and potential
 |x|^alpha.
 
@@ -43,6 +44,7 @@ from .basis import (
 from .eigen import (
     ModeBlock,
     Spectrum,
+    block_vectors,
     classify_parity,
     eigendecompose,
     evolution_coefficients,
@@ -97,6 +99,7 @@ __all__ = [
     "quadrature_weights",
     "ModeBlock",
     "Spectrum",
+    "block_vectors",
     "classify_parity",
     "eigendecompose",
     "evolution_coefficients",

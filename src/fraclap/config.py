@@ -24,6 +24,8 @@ _PRESET_RE = re.compile(r"^(oscillator|mathieu)\(([^()]*)\)$")
 # RSS growth at N = 1000 (4.5 under tracemalloc, which misses the LAPACK
 # workspace); an even-V spectrum job peaks at 2.6, an evolve job at 2.2.
 _PEAK_MATRICES = 7
+# Most q steps a sweep may take: one solve each, about 5 ms at N = 200.
+_MAX_Q_STEPS = 10_000
 
 
 def _physical_memory() -> int | None:
@@ -199,8 +201,8 @@ def build_job_config(pairs: dict[str, str]) -> JobConfig:
         q_min = _parse_number(pairs, "q_min", 0.0)
         q_max = _parse_number(pairs, "q_max")
         steps = _parse_number(pairs, "q_steps", cast=int)
-        if steps < 2:
-            raise ConfigError(f"q_steps must be >= 2, got {steps}")
+        if not 2 <= steps <= _MAX_Q_STEPS:
+            raise ConfigError(f"q_steps must be between 2 and {_MAX_Q_STEPS}, got {steps}")
         if not q_min < q_max:
             raise ConfigError(f"need q_min < q_max, got {q_min!r} >= {q_max!r}")
         sweep = (q_min, q_max, steps)

@@ -12,8 +12,14 @@ states as mode coefficients: the grid vectors (``Spectrum.eigenvectors``,
 with a fixed sign convention: largest-magnitude component positive) are
 formed only when something reads them.  ``evolve`` never does; it works in
 the modes, for every requested time at once.  ``mode_state`` reads one
-state's coefficients over all mode columns, which is what the Mathieu
-q-sweep compares from step to step.
+state's coefficients over all mode columns.
+
+``eigendecompose(H, vectors=False)`` solves for the eigenvalues only
+(``eigvalsh``); its ``Spectrum`` still places each state in its block, so
+an even V's parities are known, but every reader of the states raises a
+``ContractError``.  The Mathieu q-sweep takes each step that way and asks
+``block_vectors`` for one block's states only where its eigenvalues cannot
+prove a branch continuous.
 """
 
 from __future__ import annotations
@@ -46,15 +52,16 @@ _MIXED_THRESHOLD = 0.1
 
 @dataclass(frozen=True)
 class ModeBlock:
-    """Coefficients of some states over the mode columns of one parity.
+    """Some states of a spectrum over the mode columns of one parity.
 
-    ``vectors`` holds them over the columns ``cols``, one state per column,
-    and ``at`` the states' positions in the ascending spectrum.
+    ``at`` holds the states' positions in the ascending spectrum and
+    ``vectors`` their coefficients over the columns ``cols`` of the matching
+    ``ParityHalves`` block, one state per column; None after a values-only
+    solve.
     """
 
-    cols: np.ndarray
     at: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,8 @@ class Spectrum:
     columns, in that order.  Up to its sign, the grid vector of state i is
     the sum over the blocks of S[:, cols] @ vectors[:, j] with at[j] = i, for
     the mode matrix S.  An even V puts each state in one block; any other V
-    puts every state in both.
+    puts every state in both.  A values-only solve keeps the ``at`` of each
+    block and no ``vectors``.
     """
 
     eigenvalues: np.ndarray
@@ -86,6 +94,7 @@ class Spectrum:
         part in place, about twice as fast as a fancy-indexed add (18 against
         32 ms at N = 500).
         """
+        _require_vectors(self, "eigenvectors")
         mirror, n_pairs = self.halves.mirror, len(self.halves.pairs)
         dim = len(self.eigenvalues)
         vectors = np.zeros((dim, dim), order="F")  # _fix_signs reduces columns uncopied
@@ -101,6 +110,15 @@ class Spectrum:
         return _fix_signs(vectors)
 
 
+def _require_vectors(spec: Spectrum, reader: str) -> None:
+    """A ContractError unless ``spec`` holds its states (not a values-only solve)."""
+    if spec.blocks[0].vectors is None:
+        raise ContractError(
+            f"{reader} reads the states, and this spectrum holds eigenvalues only; "
+            "solve with eigendecompose(H) to keep them"
+        )
+
+
 def _fix_signs(V: np.ndarray) -> np.ndarray:
     """Flip each column whose first largest-magnitude component is negative.
 
@@ -114,15 +132,15 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _eigh(A: np.ndarray):
+def _eigh(A: np.ndarray, vectors: bool = True):
     try:
-        return np.linalg.eigh(A)
+        return np.linalg.eigh(A) if vectors else (np.linalg.eigvalsh(A), None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigendecomposition failed: {exc}")
 
 
-def eigendecompose(H: Hamiltonian) -> Spectrum:
-    """Full spectrum of a Hamiltonian, solved over its even and its odd mode columns.
+def eigendecompose(H: Hamiltonian, vectors: bool = True) -> Spectrum:
+    """Spectrum of a Hamiltonian, solved over its even and its odd mode columns.
 
     On the half-blocks X_b = S[rows_b, cols_b] of ``H.halves`` the even-even
     and the odd-odd blocks are diag(kinetic_b) + X_b^T diag(V+) X_b, with
@@ -133,7 +151,9 @@ def eigendecompose(H: Hamiltonian) -> Spectrum:
     apart, with V+ = 2 V_a, and their spectra merge in ascending order by a
     stable sort, so an exact tie puts the even state first.  Any other V takes
     one ``eigh`` of the coupled matrix [[A_ee, C], [C^T, A_oo]], whose
-    eigenvectors are kept as their even and their odd rows.
+    eigenvectors are kept as their even and their odd rows.  With
+    ``vectors=False`` each solve is an ``eigvalsh`` (the same levels to
+    rounding, about twice as fast) and the blocks keep no states.
     """
     if not isinstance(H, Hamiltonian):
         raise ContractError(f"eigendecompose takes a Hamiltonian, got {type(H).__name__}")
@@ -144,31 +164,50 @@ def eigendecompose(H: Hamiltonian) -> Spectrum:
             "use a larger L (or a lower alpha or N)"
         )
     halves = H.halves
+    minus, weights = _block_weights(H)
+    if minus is None:
+        # each block matrix is formed just before its solve and dropped after it
+        solved = [
+            _eigh(_mode_block(half, H.kinetic, wV), vectors)
+            for half, wV in zip(halves.blocks, weights)
+        ]
+        w = np.concatenate((solved[0][0], solved[1][0]))
+        order = np.argsort(w, kind="stable")
+        at = np.split(np.argsort(order), [len(solved[0][0])])
+        blocks = tuple(ModeBlock(at_b, Y) for (_, Y), at_b in zip(solved, at))
+        return Spectrum(w[order], H.grid, blocks, halves)
+    even_half, odd_half = halves.blocks
+    A_ee, A_oo = (_mode_block(half, H.kinetic, wV) for half, wV in zip(halves.blocks, weights))
+    n_pairs = len(halves.pairs)
+    C = (even_half.modes[:n_pairs].T * minus) @ odd_half.modes[:n_pairs]
+    w, Y = _eigh(np.block([[A_ee, C], [C.T, A_oo]]), vectors)
+    states = np.arange(len(w))
+    Y_e, Y_o = np.split(Y, [len(even_half.cols)]) if vectors else (None, None)
+    return Spectrum(w, H.grid, (ModeBlock(states, Y_e), ModeBlock(states, Y_o)), halves)
+
+
+def _block_weights(H: Hamiltonian):
+    """(V-, [V+ on the even half-block rows, V+ on the odd ones]); V- is None for an even V."""
+    halves = H.halves
     pairs, mirror = halves.pairs, halves.mirror
     V = H.potential
     minus = V[pairs] - V[mirror]
     even = np.abs(minus).max(initial=0.0) <= _PARITY_TOL * max(1.0, float(np.abs(V).max()))
     plus = 2.0 * V[pairs] if even else V[pairs] + V[mirror]
     weights = [np.concatenate((plus, V[half.rows[len(pairs):]])) for half in halves.blocks]
-    if even:
-        # each block matrix is formed just before its eigh and dropped after it
-        solved = [
-            (half.cols, *_eigh(_mode_block(half, H.kinetic, wV)))
-            for half, wV in zip(halves.blocks, weights)
-        ]
-        w = np.concatenate((solved[0][1], solved[1][1]))
-        order = np.argsort(w, kind="stable")
-        at = np.split(np.argsort(order), [len(solved[0][1])])
-        blocks = tuple(ModeBlock(cols, at_b, Y) for (cols, _, Y), at_b in zip(solved, at))
-        return Spectrum(w[order], H.grid, blocks, halves)
-    even_half, odd_half = halves.blocks
-    A_ee, A_oo = (_mode_block(half, H.kinetic, wV) for half, wV in zip(halves.blocks, weights))
-    C = (even_half.modes[: len(pairs)].T * minus) @ odd_half.modes[: len(pairs)]
-    w, Y = _eigh(np.block([[A_ee, C], [C.T, A_oo]]))
-    states = np.arange(len(w))
-    Y_e, Y_o = np.split(Y, [len(even_half.cols)])
-    blocks = (ModeBlock(even_half.cols, states, Y_e), ModeBlock(odd_half.cols, states, Y_o))
-    return Spectrum(w, H.grid, blocks, halves)
+    return (None if even else minus), weights
+
+
+def block_vectors(H: Hamiltonian, b: int) -> np.ndarray:
+    """The states of block b (0 even, 1 odd) of an even-V Hamiltonian, ascending.
+
+    The same bits as ``eigendecompose(H).blocks[b].vectors``, from one block
+    matrix and one ``eigh``; the other block is not formed.
+    """
+    minus, weights = _block_weights(H)
+    if minus is not None:
+        raise ContractError("block_vectors needs an even potential; this one couples the blocks")
+    return _eigh(_mode_block(H.halves.blocks[b], H.kinetic, weights[b]))[1]
 
 
 def _mode_block(half: HalfBlock, kinetic: np.ndarray, wV: np.ndarray) -> np.ndarray:
@@ -182,18 +221,19 @@ def _mode_block(half: HalfBlock, kinetic: np.ndarray, wV: np.ndarray) -> np.ndar
 def mode_state(spec: Spectrum, i: int) -> np.ndarray:
     """Coefficients of state i over all mode columns, with no grid vector formed.
 
-    Each block's column for the state, scattered to the block's ``cols``,
+    Each block's column for the state, scattered to the block's mode columns,
     zeros where no block holds the state.  It keeps the sign of the solution,
     so it equals S^T v_i for the grid vector v_i of ``Spectrum.eigenvectors``
     only up to sign.
     """
+    _require_vectors(spec, "mode_state")
     if not 0 <= i < len(spec.eigenvalues):
         raise DimensionError(f"no state {i} in a spectrum of {len(spec.eigenvalues)}")
     y = np.zeros(len(spec.eigenvalues))
-    for block in spec.blocks:
+    for half, block in zip(spec.halves.blocks, spec.blocks):
         j = np.flatnonzero(block.at == i)
         if len(j):
-            y[block.cols] = block.vectors[:, j[0]]
+            y[half.cols] = block.vectors[:, j[0]]
     return y
 
 
@@ -205,6 +245,7 @@ def parity_signs(spec: Spectrum) -> np.ndarray:
     orthogonal, so the two masses are the reflection weights |v + Pv|^2 / 4
     and |v - Pv|^2 / 4 of the grid vector v.
     """
+    _require_vectors(spec, "parity_signs")
     mass = np.zeros((2, len(spec.eigenvalues)))
     for m, block in zip(mass, spec.blocks):
         m[block.at] = np.einsum("ij,ij->j", block.vectors, block.vectors)
@@ -222,6 +263,7 @@ def classify_parity(spec: Spectrum) -> list:
     one, 'mixed' when both carry more than the threshold share; None for
     non-periodic grids.  Returns one (parity, period) pair per state.
     """
+    _require_vectors(spec, "classify_parity")
     V = spec.eigenvectors
     periods = [None] * V.shape[1]
     if spec.grid.kind == BasisKind.PERIODIC:
@@ -246,6 +288,7 @@ def reconstruct(spec: Spectrum, i: int, resolution: int):
     sum_k w_k v(x_k)**2 = 1 with the basis quadrature weights.  Returns
     (x values, wavefunction values).
     """
+    _require_vectors(spec, "reconstruct")
     if resolution < 2:
         raise DimensionError(f"resolution must be >= 2, got {resolution}")
     v = spec.eigenvectors[:, i]
@@ -289,6 +332,7 @@ def mode_coefficients(spec: Spectrum, psi0) -> np.ndarray:
     keeps the sign of its solution, so c equals ``evolution_coefficients`` up
     to one sign per state, and |c| is the same.
     """
+    _require_vectors(spec, "mode_coefficients")
     psi0 = _grid_samples(spec, psi0)
     mirror, n_pairs = spec.halves.mirror, len(spec.halves.pairs)
     c = np.zeros(len(spec.eigenvalues), dtype=complex)
@@ -313,6 +357,7 @@ def evolve(spec: Spectrum, psi0, hbar: float, t) -> np.ndarray:
     (dim,), a sequence (dim, len(t)).  At t = 0 this returns psi0 itself
     (the eigenbasis is complete on the grid).
     """
+    _require_vectors(spec, "evolve")
     c = mode_coefficients(spec, psi0)
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
@@ -334,4 +379,5 @@ def evolution_coefficients(spec: Spectrum, psi0) -> np.ndarray:
     They follow the sign convention of ``Spectrum.eigenvectors``, which this
     forms if nothing has read it yet.
     """
+    _require_vectors(spec, "evolution_coefficients")
     return _times_complex(spec.eigenvectors.T, _grid_samples(spec, psi0))

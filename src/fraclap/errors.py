@@ -14,13 +14,13 @@ class DimensionError(FraclapError, ValueError):
 
 
 class MultiplierDomainError(FraclapError, ValueError):
-    """A spectral multiplier is undefined (NaN/inf) at a needed momentum."""
+    """A spectral multiplier is undefined (NaN/inf, or it raised) at a needed momentum."""
 
-    def __init__(self, momentum, value):
+    def __init__(self, momentum, value, failure="is not finite"):
         self.momentum = momentum
         self.value = value
         super().__init__(
-            f"multiplier is not finite at momentum {momentum!r}: got {value!r}"
+            f"multiplier {failure} at momentum {momentum!r}: got {value!r}"
         )
 
 

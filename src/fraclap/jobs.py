@@ -11,8 +11,10 @@ written digits.
 Built-in potentials (free, oscillator, mathieu) are expression trees like
 parsed ones, so every potential and every psi0 is sampled over the whole
 grid in one call.  An evolve job stays in the free modes: one ``evolve``
-call for all its times, with no grid eigenvector formed.  A q-sweep stays
-there too: it tracks its branches by their mode coefficients.  A time whose
+call for all its times, with no grid eigenvector formed.  Convergence,
+wkb-compare and q-sweep jobs write levels only and solve for eigenvalues
+only; a q-sweep forms one block's states only at a step where the level
+gaps cannot prove its branches continuous.  A time whose
 phases t E_n / hbar would overflow, or carry more than 1e-6 rad of rounding,
 is a ConfigError.  The writers format each row with one %-format, with the
 bytes of the per-value ``_fmt``.
@@ -31,7 +33,7 @@ import numpy as np
 from . import __version__
 from .basis import BasisKind
 from .config import JobConfig, Preset
-from .eigen import Spectrum, classify_parity, eigendecompose, evolve, mode_state, parity_signs
+from .eigen import Spectrum, block_vectors, classify_parity, eigendecompose, evolve
 
 # Only |c| is read here, and the mode-space coefficients need no grid vector.
 # benchmarks/tracing.py times the evolve layer through this name and ``evolve``.
@@ -111,8 +113,11 @@ def _spec(cfg: JobConfig, N: int, potential, kind: BasisKind) -> HamiltonianSpec
     )
 
 
-def _solve(cfg: JobConfig, N: int):
-    """Assemble and diagonalize for one N; resolves L by PMS when needed."""
+def _solve(cfg: JobConfig, N: int, vectors: bool = True):
+    """Assemble and diagonalize for one N; resolves L by PMS when needed.
+
+    ``vectors=False`` solves for the eigenvalues only.
+    """
     fn, pot_text = _potential_callable(cfg)
     spec = _spec(cfg, N, fn, cfg.basis)
     if cfg.L is None:
@@ -121,7 +126,7 @@ def _solve(cfg: JobConfig, N: int):
     else:
         pms = None
         L_used = cfg.L
-    return eigendecompose(assemble(spec, L_used)), L_used, pms, pot_text
+    return eigendecompose(assemble(spec, L_used), vectors), L_used, pms, pot_text
 
 
 def _wkb_model(cfg: JobConfig) -> WkbModel | None:
@@ -170,7 +175,7 @@ def run_convergence(cfg: JobConfig) -> ResultTable:
     rows = []
     pot_text = ""
     for N in cfg.n_list:
-        spectrum, L_used, _, pot_text = _solve(cfg, N)
+        spectrum, L_used, _, pot_text = _solve(cfg, N, vectors=False)
         m = min(cfg.n_states, spectrum.grid.dim)
         rows.append([N, float(L_used)] + [float(e) for e in spectrum.eigenvalues[:m]])
     metadata = _base_metadata(cfg, pot_text)
@@ -193,24 +198,78 @@ def run_pms_scan(cfg: JobConfig) -> ResultTable:
 
 
 _SWEEP_LABELS = ("a0", "b1", "a1", "b2", "a2", "b3", "a3")
+# The swept branches of the even and of the odd block, by rank in the block.
+_BLOCK_LABELS = (("a0", "a1", "a2", "a3"), ("b1", "b2", "b3"))
+# Largest share of a level gap that the step in V may take for the gap to
+# prove a branch continuous; the sin-theta bound needs less than sqrt(3)/2.
+_GAP_SHARE = 0.85
 
 
 def _mathieu_picks(spectrum: Spectrum) -> dict:
-    """Spectrum index of each swept branch: a_n is the n-th even state, b_n the (n-1)-th odd one."""
-    signs = parity_signs(spectrum)
-    even = np.flatnonzero(signs == 1)
-    odd = np.flatnonzero(signs == -1)
+    """Spectrum index of each swept branch: a_n is the n-th even state, b_n the (n-1)-th odd one.
+
+    The Mathieu potential is even, so each state lies in one block, its
+    parity, and no state needs to be read.
+    """
     picks = {}
-    for label in _SWEEP_LABELS:
-        family = even if label.startswith("a") else odd
-        rank = int(label[1:]) if label.startswith("a") else int(label[1:]) - 1
-        if rank >= len(family):
+    for block, labels, name in zip(spectrum.blocks, _BLOCK_LABELS, ("even", "odd")):
+        family = block.at
+        if len(family) < len(labels):
             raise NumericalError(
-                f"not enough pure-parity states to label {label} "
-                f"(some states classified as mixed); increase N"
+                f"not enough {name} states to label {labels[len(family)]} "
+                f"({len(family)} at N = {spectrum.grid.N}); increase N"
             )
-        picks[label] = int(family[rank])
+        picks.update(zip(labels, family.tolist()))
     return picks
+
+
+def _gap_proves_continuity(before: np.ndarray, after: np.ndarray, dV: float, k: int) -> np.ndarray:
+    """For each of a block's k lowest branches, whether its levels at two steps prove it continuous.
+
+    ``before`` and ``after`` are the block's ascending levels at the two steps.
+    A step changes the block matrix by the compression of diag(V' - V) to
+    the block's orthonormal mode columns, of 2-norm at most dV = max|V' - V|.
+    For the branch of rank r, let delta be the least |lambda_r - lambda'_j|
+    over j != r, or the same with the two steps swapped if that is larger.
+    The sin-theta theorem (Davis & Kahan, SIAM J. Numer. Anal. 7 (1970) 1)
+    bounds the angle between the branch's two states by sin theta <= dV /
+    delta, so their overlap is at least 0.5 when dV < sqrt(3)/2 delta.  Each
+    gap is first cut by twice an eigenvalue rounding of dim * eps * max|lambda|;
+    a tie never proves anything.
+    """
+    slack = 2.0 * len(before) * np.finfo(float).eps * max(np.abs(before).max(), np.abs(after).max())
+    ranks = np.arange(k)
+    delta = np.zeros(k)
+    for a, b in ((before, after), (after, before)):
+        gaps = np.abs(a[:k, None] - b)
+        gaps[ranks, ranks] = np.inf
+        delta = np.maximum(delta, gaps.min(axis=1))
+    return dV < _GAP_SHARE * (delta - slack)
+
+
+def _unproven_overlaps(before, H, spectrum):
+    """|y . y_prev| of the branches of each block whose levels cannot prove them continuous.
+
+    ``before`` is the (Hamiltonian, values-only spectrum, solved states) of
+    the previous step, and H and ``spectrum`` are this step's.  Such a
+    block's tracked states are solved at both steps (``block_vectors``), or
+    taken from ``before`` where the previous pair already solved them; every
+    step shares the orthogonal S, so the overlap of two mode-coefficient
+    vectors is that of the grid vectors.  Returns the overlaps and this
+    step's solved states, {block: its tracked columns}.
+    """
+    H0, spec0, states0 = before
+    dV = float(np.abs(H.potential - H0.potential).max())
+    overlaps, states = {}, {}
+    for b, labels in enumerate(_BLOCK_LABELS):
+        k = len(labels)
+        levels = [s.eigenvalues[s.blocks[b].at] for s in (spec0, spectrum)]
+        if _gap_proves_continuity(*levels, dV, k).all():
+            continue
+        Y0 = states0[b] if b in states0 else block_vectors(H0, b)[:, :k]
+        Y1 = states[b] = block_vectors(H, b)[:, :k].copy()  # not the whole block
+        overlaps.update((label, abs(float(Y1[:, r] @ Y0[:, r]))) for r, label in enumerate(labels))
+    return overlaps, states
 
 
 def run_q_sweep(cfg: JobConfig) -> ResultTable:
@@ -218,11 +277,13 @@ def run_q_sweep(cfg: JobConfig) -> ResultTable:
 
     |p|^alpha + 2q cos(2z) on the periodic grid at L = pi; the mode
     half-blocks, with their parity layout, and the kinetic diagonal are built
-    once for the whole sweep.  The sweep
-    stays in the free modes: a branch's continuity is the overlap of its
-    ``mode_state`` coefficients at consecutive steps, which equals the grid
-    overlap up to rounding because every step shares the orthogonal S, and
-    no grid eigenvector is formed.
+    once for the whole sweep.  Each step is a values-only solve: a_n and b_n
+    are picked by rank in the even and in the odd block.  A branch is
+    continuous when its states at consecutive steps overlap by at least 0.5.
+    Most steps prove that from the levels alone (``_gap_proves_continuity``);
+    only a block where they cannot has its states solved, each step at most
+    once, and a measured overlap below 0.5 is a warning in the metadata.  No
+    grid eigenvector is formed, and no block matrix outlives its solve.
     """
     q_min, q_max, steps = cfg.sweep
     qs = np.linspace(q_min, q_max, steps)
@@ -230,20 +291,20 @@ def run_q_sweep(cfg: JobConfig) -> ResultTable:
     hamiltonians = assemble_sweep(spec, math.pi, (_mathieu(float(q)) for q in qs))
     rows = []
     warnings = []
-    prev_vectors = None
+    prev = None
     for q, H in zip(qs, hamiltonians):
-        spectrum = eigendecompose(H)
+        spectrum = eigendecompose(H, vectors=False)
         picks = _mathieu_picks(spectrum)
-        vectors = {label: mode_state(spectrum, idx) for label, idx in picks.items()}
-        if prev_vectors is not None:
+        states = {}
+        if prev is not None:
+            overlaps, states = _unproven_overlaps(prev, H, spectrum)
             for label in _SWEEP_LABELS:
-                overlap = abs(float(vectors[label] @ prev_vectors[label]))
-                if overlap < 0.5:
+                if overlaps.get(label, 1.0) < 0.5:
                     warnings.append(
                         f"branch {label} lost continuity at q = {q:.6g} "
-                        f"(overlap {overlap:.3f})"
+                        f"(overlap {overlaps[label]:.3f})"
                     )
-        prev_vectors = vectors
+        prev = H, spectrum, states
         rows.append(
             [float(q)] + [float(spectrum.eigenvalues[picks[l]]) for l in _SWEEP_LABELS]
         )
@@ -279,7 +340,7 @@ def fit_levels(ns, energies):
 
 def run_wkb_compare(cfg: JobConfig) -> ResultTable:
     """Computed levels next to the WKB closed form, plus a straight-line fit."""
-    spectrum, L_used, pms, pot_text = _solve(cfg, cfg.N)
+    spectrum, L_used, pms, pot_text = _solve(cfg, cfg.N, vectors=False)
     model = _wkb_model(cfg)
     if model is None:
         raise ConfigError("wkb-compare needs an oscillator(beta) preset")

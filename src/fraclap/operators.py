@@ -35,8 +35,9 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float])
 
     Entry (k, j) is sum_n C_n(k, N) m(n pi / 2L) exp(i n pi x_j / 2L); the
     imaginary parts must cancel and are dropped after a residue check.  m is
-    called once per momentum, as a Python float, and a complex or non-finite
-    value raises ``MultiplierDomainError`` for the first such momentum.  On
+    called once per momentum, as a Python float; an exception from m, or a
+    complex or non-finite value, raises ``MultiplierDomainError`` for the
+    first such momentum (chained to the exception).  On
     the grid the exponential is exp(2 pi i n j / P) with the integer period
     P of ``basis.phase_period``, so each row is one inverse DFT of length P
     over the terms summed by n mod P, written straight into place: n < 0 at
@@ -47,7 +48,12 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float])
     """
     grid = coeffs.grid
     momenta = (coeffs.n_values * np.pi / (2.0 * grid.L)).tolist()
-    raw = [m(p) for p in momenta]
+    raw = []
+    try:
+        for p in momenta:
+            raw.append(m(p))
+    except Exception as exc:
+        raise MultiplierDomainError(p, exc, "raised") from exc
     values = np.array(raw)
     if values.dtype != float or not np.isfinite(values).all():
         for p, v in zip(momenta, raw):  # the first complex or non-finite value

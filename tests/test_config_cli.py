@@ -9,7 +9,9 @@ from fraclap import (
     BasisKind,
     ConfigError,
     HamiltonianSpec,
+    NumericalError,
     assemble,
+    block_vectors,
     classify_parity,
     eigendecompose,
     find_pms_length,
@@ -121,6 +123,13 @@ class TestBuildJobConfig:
         cfg = _cfg(mode="q-sweep", potential="mathieu(1)", q_max="5", q_steps="3")
         assert cfg.sweep == (0.0, 5.0, 3)
 
+    @pytest.mark.parametrize("steps", ["10001", "100000000"])
+    def test_q_steps_are_capped(self, steps):
+        # refused while parsing: no q grid is made and no step is solved
+        with pytest.raises(ConfigError, match=f"q_steps must be between 2 and 10000, got {steps}"):
+            _cfg(mode="q-sweep", potential="mathieu(1)", q_max="5", q_steps=steps)
+        assert _cfg(mode="q-sweep", potential="mathieu(1)", q_max="5", q_steps="10000").sweep[2] == 10000
+
     def test_evolve_validation(self):
         with pytest.raises(ConfigError):
             _cfg(mode="evolve", times="0,1")  # missing psi0
@@ -208,12 +217,25 @@ class TestPresetPotentials:
         assert text == "free"
 
 
+def _sweep_hamiltonians(alpha, N, q_max, steps):
+    for q in np.linspace(0.0, q_max, steps):
+        spec = HamiltonianSpec(
+            alpha=alpha,
+            potential=parse(f"{2.0 * float(q)!r}*cos(2*x)"),
+            kind=BasisKind.PERIODIC,
+            N=N,
+        )
+        yield float(q), assemble(spec, math.pi)
+
+
 class TestQSweep:
     @pytest.mark.parametrize("N", [20, 200])
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_rows_match_per_q_public_route(self, alpha, N):
-        # one kinetic matrix per sweep and block parities give the same bits
-        # as assembling, solving and classifying each q on its own
+        # one kinetic diagonal per sweep and block ranks give the same bits
+        # as assembling each q on its own and solving it values-only, and the
+        # full solve labelled by classify_parity picks the same states, whose
+        # eigh levels differ from the eigvalsh ones by rounding only
         q_max, steps = 20.0, 5
         table = run_q_sweep(
             build_job_config(
@@ -221,23 +243,25 @@ class TestQSweep:
                  "N": str(N), "q_min": "0", "q_max": str(q_max), "q_steps": str(steps)}
             )
         )
-        expected = []
-        for q in np.linspace(0.0, q_max, steps):
-            spec = HamiltonianSpec(
-                alpha=alpha,
-                potential=parse(f"{2.0 * float(q)!r}*cos(2*x)"),
-                kind=BasisKind.PERIODIC,
-                N=N,
-            )
-            spectrum = eigendecompose(assemble(spec, math.pi))
+        expected, full, scale = [], [], 0.0
+        for q, H in _sweep_hamiltonians(alpha, N, q_max, steps):
+            levels = eigendecompose(H, vectors=False)
+            even, odd = (levels.blocks[b].at for b in (0, 1))
+            picks = [even[0], odd[0], even[1], odd[1], even[2], odd[2], even[3]]
+            expected.append([q] + [float(levels.eigenvalues[i]) for i in picks])
+            spectrum = eigendecompose(H)
             labels = classify_parity(spectrum)
             even = [i for i, (p, _) in enumerate(labels) if p == "even"]
             odd = [i for i, (p, _) in enumerate(labels) if p == "odd"]
             picks = [even[0], odd[0], even[1], odd[1], even[2], odd[2], even[3]]
-            expected.append([float(q)] + [float(spectrum.eigenvalues[i]) for i in picks])
+            full.append([q] + [float(spectrum.eigenvalues[i]) for i in picks])
+            scale = max(scale, float(np.abs(spectrum.eigenvalues).max()))
         assert [[v.hex() for v in row] for row in table.rows] == [
             [v.hex() for v in row] for row in expected
         ]
+        # both solvers are backward stable: a level moves by a few eps times
+        # the largest one (measured: up to 1.9e-15 of it over these spectra)
+        assert np.abs(np.array(table.rows) - np.array(full)).max() <= 1e-14 * scale
 
 
 def _sweep_cfg(alpha, N, q_max=20.0, steps=12):
@@ -248,12 +272,12 @@ def _sweep_cfg(alpha, N, q_max=20.0, steps=12):
 
 
 def _record_spectra(monkeypatch):
-    """Every spectrum the q-sweep solves, in step order."""
+    """(Hamiltonian, spectrum) of every step the q-sweep solves, in step order."""
     solved = []
 
-    def keep(H):
-        solved.append(eigendecompose(H))
-        return solved[-1]
+    def keep(H, vectors=True):
+        solved.append((H, eigendecompose(H, vectors)))
+        return solved[-1][1]
 
     monkeypatch.setattr(jobs, "eigendecompose", keep)
     return solved
@@ -264,48 +288,48 @@ class TestQSweepInModes:
         solved = _record_spectra(monkeypatch)
         run_q_sweep(_sweep_cfg(1.5, 20))
         assert len(solved) == 12
-        assert all("eigenvectors" not in vars(s) for s in solved)
+        assert all(s.blocks[0].vectors is None for _, s in solved)
+        assert all("eigenvectors" not in vars(s) for _, s in solved)
 
     @pytest.mark.parametrize("N", [20, 200])
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_mode_overlaps_equal_grid_overlaps(self, monkeypatch, alpha, N):
-        # every step shares the orthogonal S, so |y . y_prev| = |v . v_prev|
+        # every step shares the orthogonal S, so the overlap of two block
+        # states is that of their grid vectors
         solved = _record_spectra(monkeypatch)
         run_q_sweep(_sweep_cfg(alpha, N))
         worst = 0.0
-        for prev, cur in zip(solved, solved[1:]):
-            prev_picks, cur_picks = jobs._mathieu_picks(prev), jobs._mathieu_picks(cur)
-            for label, i in cur_picks.items():
-                j = prev_picks[label]
-                modal = abs(float(mode_state(cur, i) @ mode_state(prev, j)))
-                grid = abs(float(cur.eigenvectors[:, i] @ prev.eigenvectors[:, j]))
-                worst = max(worst, abs(modal - grid))
+        for (H0, _), (H1, _) in zip(solved, solved[1:]):
+            full0, full1 = eigendecompose(H0), eigendecompose(H1)
+            picks0, picks1 = jobs._mathieu_picks(full0), jobs._mathieu_picks(full1)
+            for b, labels in enumerate(jobs._BLOCK_LABELS):
+                Y0, Y1 = block_vectors(H0, b), block_vectors(H1, b)
+                for r, label in enumerate(labels):
+                    modal = abs(float(Y1[:, r] @ Y0[:, r]))
+                    i, j = picks1[label], picks0[label]
+                    grid = abs(float(full1.eigenvectors[:, i] @ full0.eigenvectors[:, j]))
+                    worst = max(worst, abs(modal - grid))
         assert worst <= 1e-13
 
-    def test_forced_continuity_loss_is_reported(self, monkeypatch):
-        # a0 and a1 swapped at q = 1: each branch jumps to the other family
-        # (period pi against 2 pi, so the overlaps vanish) and back at q = 1.5
-        picks = jobs._mathieu_picks
-        steps = []
-
-        def swapped(spectrum):
-            chosen = picks(spectrum)
-            steps.append(spectrum)
-            if len(steps) == 3:
-                chosen["a0"], chosen["a1"] = chosen["a1"], chosen["a0"]
-            return chosen
-
-        monkeypatch.setattr(jobs, "_mathieu_picks", swapped)
-        table = run_q_sweep(_sweep_cfg(1.5, 20, q_max=2.0, steps=5))
-        assert table.metadata["warnings"] == (
-            "branch a0 lost continuity at q = 1 (overlap 0.000); "
-            "branch a1 lost continuity at q = 1 (overlap 0.000); "
-            "branch a0 lost continuity at q = 1.5 (overlap 0.000); "
-            "branch a1 lost continuity at q = 1.5 (overlap 0.000)"
-        )
+    def test_forced_continuity_loss_is_reported(self):
+        # N = 60, q = 0 -> 200 in three steps of 66.7: each branch but b1
+        # jumps to another state, and the gap bound cannot hide it
+        table = run_q_sweep(_sweep_cfg(1.5, 60, q_max=200.0, steps=4))
+        warnings = table.metadata["warnings"].split("; ")
+        lost = [w.split(" (overlap ")[0] for w in warnings]
+        assert lost == [
+            f"branch {label} lost continuity at q = 66.6667"
+            for label in ("a0", "a1", "b2", "a2", "b3", "a3")
+        ]
+        assert all(float(w.split(" (overlap ")[1].rstrip(")")) < 0.5 for w in warnings)
 
     def test_smooth_sweep_has_no_warnings(self):
         assert "warnings" not in run_q_sweep(_sweep_cfg(1.5, 20)).metadata
+
+    def test_too_few_states_is_a_numerical_error(self):
+        # N = 2: the even block holds 3 states, and a3 needs a fourth
+        with pytest.raises(NumericalError, match="not enough even states to label a3 .3 at N = 2."):
+            run_q_sweep(_sweep_cfg(1.5, 2, q_max=1.0, steps=3))
 
 
 class TestSpectrumRows:
@@ -485,6 +509,17 @@ class TestCliRun:
         assert "D * hbar^alpha = 1e-150" in result.output and "rescale the units" in result.output
         assert "unbounded below" not in result.output
         assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_too_many_q_steps_exit_code(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs, "assemble_sweep", None)  # a started sweep would fail here
+        cfg = _write_cfg(
+            tmp_path, "mode = q-sweep\npotential = mathieu(1)\nalpha = 1.5\nN = 8\nq_max = 2\n"
+            "q_steps = 100000000\n",
+        )
+        result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert "config error: q_steps must be between 2 and 10000" in result.output
+        assert "Traceback" not in result.output
 
     def test_memory_preflight_exit_code(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(config, "_physical_memory", lambda: 2**30)

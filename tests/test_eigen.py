@@ -18,6 +18,7 @@ from fraclap import (
     OperatorMatrix,
     Spectrum,
     assemble,
+    block_vectors,
     classify_parity,
     eigendecompose,
     evolution_coefficients,
@@ -29,6 +30,7 @@ from fraclap import (
     reconstruct,
 )
 from fraclap.basis import mode_matrix, mode_parities
+from fraclap.eigen import parity_signs
 
 FREE = lambda x: 0.0
 
@@ -142,6 +144,84 @@ class TestEigendecompose:
         spectrum = eigendecompose(assemble(spec_h, math.pi))
         labels = classify_parity(spectrum)
         assert all(parity in ("even", "odd") for parity, _ in labels)
+
+
+_READERS = {
+    "eigenvectors": lambda spec: spec.eigenvectors,
+    "mode_state": lambda spec: mode_state(spec, 0),
+    "parity_signs": lambda spec: parity_signs(spec),
+    "classify_parity": lambda spec: classify_parity(spec),
+    "mode_coefficients": lambda spec: mode_coefficients(spec, np.ones(spec.grid.dim)),
+    "evolve": lambda spec: evolve(spec, np.ones(spec.grid.dim), 1.0, 0.5),
+    "evolution_coefficients": lambda spec: evolution_coefficients(spec, np.ones(spec.grid.dim)),
+    "reconstruct": lambda spec: reconstruct(spec, 0, 10),
+}
+
+
+class TestValuesOnly:
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    @pytest.mark.parametrize("potential", [EVEN, UNEVEN])
+    def test_levels_and_blocks_match_the_full_solve(self, kind, potential):
+        H = _hamiltonian(potential, kind=kind, N=30)
+        full, levels = eigendecompose(H), eigendecompose(H, vectors=False)
+        # eigvalsh against eigh: rounding only (measured up to 2e-15 of the largest level)
+        scale = float(np.abs(full.eigenvalues).max())
+        assert np.abs(levels.eigenvalues - full.eigenvalues).max() <= 1e-14 * scale
+        for got, want in zip(levels.blocks, full.blocks):
+            np.testing.assert_array_equal(got.at, want.at)
+            assert got.vectors is None
+        assert levels.halves is H.halves
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_state_readers_refuse_a_values_only_spectrum(self, reader):
+        spec = eigendecompose(_hamiltonian(EVEN), vectors=False)
+        with pytest.raises(ContractError, match=f"^{reader} reads the states"):
+            _READERS[reader](spec)
+
+    def test_readers_refuse_under_python_O(self):
+        # if/raise, not asserts: the refusals hold under python -O too
+        code = (
+            "import numpy as np\n"
+            "from fraclap import *\n"
+            "from fraclap.eigen import parity_signs\n"
+            "H = assemble(HamiltonianSpec(alpha=1.5, potential=lambda x: x * x,"
+            " kind=BasisKind.DIRICHLET, N=6), 4.0)\n"
+            "s = eigendecompose(H, vectors=False)\n"
+            "u = np.ones(s.grid.dim)\n"
+            "calls = [lambda: s.eigenvectors, lambda: mode_state(s, 0), lambda: parity_signs(s),"
+            " lambda: classify_parity(s), lambda: mode_coefficients(s, u),"
+            " lambda: evolve(s, u, 1.0, 0.5), lambda: evolution_coefficients(s, u),"
+            " lambda: reconstruct(s, 0, 10)]\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ContractError as exc:\n"
+            "        print(str(exc).split()[0])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [
+            "eigenvectors", "mode_state", "parity_signs", "classify_parity",
+            "mode_coefficients", "evolve", "evolution_coefficients", "reconstruct",
+        ]
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_block_vectors_are_the_full_solve_s(self, kind):
+        H = _hamiltonian(EVEN, kind=kind, N=25)
+        full = eigendecompose(H)
+        for b in (0, 1):
+            np.testing.assert_array_equal(block_vectors(H, b), full.blocks[b].vectors)
+
+    def test_block_vectors_need_an_even_potential(self):
+        with pytest.raises(ContractError, match="even potential"):
+            block_vectors(_hamiltonian(UNEVEN), 0)
 
 
 class TestParityBlocks:

@@ -133,8 +133,9 @@ class TestEvolveJob:
     def test_job_never_forms_grid_vectors(self, monkeypatch):
         solved = []
 
-        def keep(H):
-            solved.append(fraclap.eigendecompose(H))
+        def keep(H, vectors=True):
+            assert vectors  # evolution reads every state
+            solved.append(fraclap.eigendecompose(H, vectors))
             return solved[-1]
 
         monkeypatch.setattr(jobs, "eigendecompose", keep)

@@ -121,6 +121,17 @@ class TestMultiplierMatrix:
             multiplier_matrix(coeffs, lambda p: complex(p) if p > 0 else p)
         assert info.value.momentum == math.pi / 2
 
+    def test_exception_from_the_multiplier_is_typed(self):
+        # 1 / p raises at p = 0 on Python floats; the error names p and chains the cause
+        coeffs = _coeffs(BasisKind.DIRICHLET, 5, 1.0)
+        with pytest.raises(MultiplierDomainError) as info:
+            multiplier_matrix(coeffs, lambda p: 1 / p)
+        assert info.value.momentum == 0.0
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        assert str(info.value) == (
+            "multiplier raised at momentum 0.0: got ZeroDivisionError('float division by zero')"
+        )
+
 
 class TestFractionalLaplacian:
     @pytest.mark.parametrize("kind", ALL_KINDS)
