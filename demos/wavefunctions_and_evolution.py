@@ -12,9 +12,9 @@ from fraclap import (
     HamiltonianSpec,
     assemble,
     eigendecompose,
-    evolution_coefficients,
     evolve,
     find_pms_length,
+    mode_coefficients,
     reconstruct,
 )
 
@@ -36,10 +36,10 @@ for i in range(3):
 # propagate a displaced Gaussian
 x = spectrum.grid.points
 psi0 = np.exp(-2.0 * (x - 1.0) ** 2)
-n0 = np.sum(np.abs(evolution_coefficients(spectrum, psi0)) ** 2)
+n0 = np.sum(np.abs(mode_coefficients(spectrum, psi0)) ** 2)
 print("\ntime evolution of exp(-2 (x - 1)^2):")
 for t in (0.0, 0.5, 2.0, 10.0):
     psi_t = evolve(spectrum, psi0, 1.0, t)
-    n_t = np.sum(np.abs(evolution_coefficients(spectrum, psi_t)) ** 2)
+    n_t = np.sum(np.abs(mode_coefficients(spectrum, psi_t)) ** 2)
     mean_x = float(np.sum(x * np.abs(psi_t) ** 2) / np.sum(np.abs(psi_t) ** 2))
     print(f"  t = {t:5.2f}: <x> = {mean_x:+.4f}, coefficient-norm drift = {abs(n_t - n0):.2e}")

@@ -13,10 +13,12 @@ Every Hamiltonian goes through one route: ``HamiltonianSpec`` -> ``assemble``
 its even and its odd half-block, always solved over those two sets of mode
 columns: two independent blocks when V is even, one coupled matrix of them
 otherwise.  The ``Spectrum`` keeps its states in the modes and forms grid
-eigenvectors only when they are read; ``eigendecompose(H, vectors=False)``
-solves for the eigenvalues alone.  The momentum representation of
-|p|^alpha + x^2 is the same route with kinetic exponent 2 and potential
-|x|^alpha.
+eigenvectors only when they are read; ``mode_coefficients`` and ``evolve``
+never read them, and ``eigendecompose(H, vectors=False)`` solves for the
+eigenvalues alone.  On the Dirichlet grid |p|^alpha is the spectral
+fractional Laplacian of the box, whose exact levels are Laskin's
+``exact_box_energy``.  The momentum representation of |p|^alpha + x^2 is
+the same route with kinetic exponent 2 and potential |x|^alpha.
 
 Typical use:
 
@@ -47,10 +49,8 @@ from .eigen import (
     block_vectors,
     classify_parity,
     eigendecompose,
-    evolution_coefficients,
     evolve,
     mode_coefficients,
-    mode_state,
     reconstruct,
 )
 from .errors import (
@@ -70,7 +70,6 @@ from .hamiltonian import (
     PmsResult,
     assemble,
     find_pms_length,
-    trace,
 )
 from .operators import (
     OperatorMatrix,
@@ -84,7 +83,6 @@ from .reference import (
     beta_function,
     box_eigenfunction,
     exact_box_energy,
-    ln_gamma,
     wkb_energy,
 )
 
@@ -102,10 +100,8 @@ __all__ = [
     "block_vectors",
     "classify_parity",
     "eigendecompose",
-    "evolution_coefficients",
     "evolve",
     "mode_coefficients",
-    "mode_state",
     "parity_map",
     "reconstruct",
     "FraclapError",
@@ -122,7 +118,6 @@ __all__ = [
     "PmsResult",
     "assemble",
     "find_pms_length",
-    "trace",
     "OperatorMatrix",
     "fractional_laplacian_matrix",
     "fractional_multiplier",
@@ -134,7 +129,6 @@ __all__ = [
     "beta_function",
     "box_eigenfunction",
     "exact_box_energy",
-    "ln_gamma",
     "wkb_energy",
     "__version__",
 ]

@@ -10,10 +10,13 @@ The same sampling set is also a set of free modes with momenta n pi / (2L)
 (``mode_numbers``) and an orthogonal real transform from modes to grid
 samples (``mode_matrix``): a DST-I for Dirichlet, a DCT-II for Neumann, a
 real DFT for periodic and an odd-harmonic real DFT for antiperiodic grids.
-Every even spectral multiplier m(|p|) is diagonal in these modes.  Every
-mode is even or odd under x -> -x, so solves hold S as its two half-blocks
-(``parity_halves``): the even and the odd mode columns on one node of each
-mirror pair plus the fixed nodes, from which the mirror rows follow.
+Every even spectral multiplier m(|p|) is diagonal in these modes, so the
+Dirichlet kind discretizes the *spectral* fractional Laplacian of the box
+(exact levels ``reference.exact_box_energy``), not the whole-line
+|p|^alpha restricted to the well.  Every mode is even or odd under
+x -> -x, so solves hold S as its two half-blocks (``parity_halves``): the
+even and the odd mode columns on one node of each mirror pair plus the
+fixed nodes, from which the mirror rows follow.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import BasisKind, coefficients, eval_sampling_function, make_grid
 from .config import build_job_config, parse_config_text
-from .eigen import eigendecompose, evolution_coefficients, evolve
+from .eigen import eigendecompose, evolve, mode_coefficients
 from .errors import ConfigError, EvaluationError, FraclapError, ParameterError, ParseError
 from .hamiltonian import HamiltonianSpec, assemble
 from .jobs import run_job, write_tables
@@ -124,11 +124,11 @@ def _property_checks():
     )
     spectrum = eigendecompose(assemble(spec, 1.0))
     psi0 = np.exp(-10.0 * spectrum.grid.points**2)
-    norm = float(np.sum(np.abs(evolution_coefficients(spectrum, psi0)) ** 2))
+    norm = float(np.sum(np.abs(mode_coefficients(spectrum, psi0)) ** 2))
     drift = 0.0
     for t in (0.0, 1.0, 10.0):
         psi_t = evolve(spectrum, psi0, 1.0, t)
-        c = evolution_coefficients(spectrum, psi_t)
+        c = mode_coefficients(spectrum, psi_t)
         drift = max(drift, abs(float(np.sum(np.abs(c) ** 2)) - norm))
     yield "evolution coefficient-norm conservation", drift <= 1e-12, f"max drift {drift:.2e}"
 

@@ -16,6 +16,11 @@ from .basis import BasisKind
 from .errors import ConfigError
 
 MODES = ("spectrum", "convergence", "pms-scan", "q-sweep", "evolve", "wkb-compare")
+# Every key that ``build_job_config`` reads, in any mode.
+KEYS = (
+    "mode", "basis", "potential", "alpha", "D", "hbar", "N", "L", "n_states",
+    "q_min", "q_max", "q_steps", "psi0", "times", "format",
+)
 
 _PRESET_RE = re.compile(r"^(oscillator|mathieu)\(([^()]*)\)$")
 
@@ -93,6 +98,24 @@ def _parse_potential(text: str):
     return text
 
 
+def _check_keys(pairs) -> None:
+    """Refuse a key that no mode reads, naming the closest known one."""
+    for key in pairs:
+        if key not in KEYS:
+            import difflib  # on the error path only: it adds ~0.2 MB to every job process
+            by_case = {k.lower(): k for k in KEYS}
+            closest = by_case[difflib.get_close_matches(key.lower(), by_case, n=1, cutoff=0.0)[0]]
+            raise ConfigError(
+                f"unknown key {key!r} (closest known key: {closest!r}); "
+                f"the keys are {', '.join(KEYS)}"
+            )
+
+
+def evolve_table_name(t: float) -> str:
+    """File stem of the evolve table at time t."""
+    return f"evolve_t{t:g}"
+
+
 def _parse_number(pairs, key, default=None, cast=float):
     if key not in pairs:
         if default is None:
@@ -142,9 +165,13 @@ class JobConfig:
 
 def build_job_config(pairs: dict[str, str]) -> JobConfig:
     """Validate raw key/value pairs into a JobConfig."""
+    _check_keys(pairs)
     mode = pairs.get("mode", "").strip()
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {mode!r}")
+    out_format = pairs.get("format", "csv").strip().lower()
+    if out_format not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {out_format!r}")
 
     potential = _parse_potential(pairs.get("potential", "free"))
     is_mathieu = isinstance(potential, Preset) and potential.name == "mathieu"
@@ -222,15 +249,21 @@ def build_job_config(pairs: dict[str, str]) -> JobConfig:
             raise ConfigError("key 'times': empty list")
         if not all(math.isfinite(t) for t in times):
             raise ConfigError(f"key 'times': every time must be finite, got {pairs['times']!r}")
+        written = {}
+        for t in times:
+            name = evolve_table_name(t)
+            if name in written:
+                raise ConfigError(
+                    f"key 'times': t = {written[name]!r} and t = {t!r} would both write "
+                    f"{name}.{out_format}; give times that differ in their first 6 "
+                    "significant digits"
+                )
+            written[name] = t
 
     if mode == "wkb-compare" and not (
         isinstance(potential, Preset) and potential.name == "oscillator"
     ):
         raise ConfigError("wkb-compare mode needs potential = oscillator(beta)")
-
-    out_format = pairs.get("format", "csv").strip().lower()
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {out_format!r}")
 
     return JobConfig(
         mode=mode,

@@ -11,8 +11,7 @@ problem at q = 0.  The ``Spectrum`` keeps the
 states as mode coefficients: the grid vectors (``Spectrum.eigenvectors``,
 with a fixed sign convention: largest-magnitude component positive) are
 formed only when something reads them.  ``evolve`` never does; it works in
-the modes, for every requested time at once.  ``mode_state`` reads one
-state's coefficients over all mode columns.
+the modes, for every requested time at once.
 
 ``eigendecompose(H, vectors=False)`` solves for the eigenvalues only
 (``eigvalsh``); its ``Spectrum`` still places each state in its block, so
@@ -218,25 +217,6 @@ def _mode_block(half: HalfBlock, kinetic: np.ndarray, wV: np.ndarray) -> np.ndar
     return A
 
 
-def mode_state(spec: Spectrum, i: int) -> np.ndarray:
-    """Coefficients of state i over all mode columns, with no grid vector formed.
-
-    Each block's column for the state, scattered to the block's mode columns,
-    zeros where no block holds the state.  It keeps the sign of the solution,
-    so it equals S^T v_i for the grid vector v_i of ``Spectrum.eigenvectors``
-    only up to sign.
-    """
-    _require_vectors(spec, "mode_state")
-    if not 0 <= i < len(spec.eigenvalues):
-        raise DimensionError(f"no state {i} in a spectrum of {len(spec.eigenvalues)}")
-    y = np.zeros(len(spec.eigenvalues))
-    for half, block in zip(spec.halves.blocks, spec.blocks):
-        j = np.flatnonzero(block.at == i)
-        if len(j):
-            y[half.cols] = block.vectors[:, j[0]]
-    return y
-
-
 def parity_signs(spec: Spectrum) -> np.ndarray:
     """+1 for each even state, -1 for each odd one and 0 for a mixed one.
 
@@ -313,15 +293,6 @@ def _times_complex(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_samples(spec: Spectrum, psi0) -> np.ndarray:
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (len(spec.eigenvalues),):
-        raise DimensionError(
-            f"expected {len(spec.eigenvalues)} samples, got shape {psi0.shape}"
-        )
-    return psi0
-
-
 def mode_coefficients(spec: Spectrum, psi0) -> np.ndarray:
     """Expansion coefficients of grid samples psi0, state by state, from the modes.
 
@@ -329,11 +300,16 @@ def mode_coefficients(spec: Spectrum, psi0) -> np.ndarray:
     amplitudes of psi0 over the block's columns: u_b is psi0 folded onto the
     half-block rows, psi0[a] + s psi0[Pa] on a pair node a (s the block
     parity) and psi0 on a fixed node.  No grid vector is formed.  Each state
-    keeps the sign of its solution, so c equals ``evolution_coefficients`` up
-    to one sign per state, and |c| is the same.
+    keeps the sign of its solution, so c equals the projections v_n . psi0
+    on the grid vectors of ``Spectrum.eigenvectors`` up to one sign per
+    state, and |c| is the same.
     """
     _require_vectors(spec, "mode_coefficients")
-    psi0 = _grid_samples(spec, psi0)
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (len(spec.eigenvalues),):
+        raise DimensionError(
+            f"expected {len(spec.eigenvalues)} samples, got shape {psi0.shape}"
+        )
     mirror, n_pairs = spec.halves.mirror, len(spec.halves.pairs)
     c = np.zeros(len(spec.eigenvalues), dtype=complex)
     for half, block in zip(spec.halves.blocks, spec.blocks):
@@ -371,13 +347,3 @@ def evolve(spec: Spectrum, psi0, hbar: float, t) -> np.ndarray:
         psi[half.rows] += G
         psi[mirror] += half.sign * G[:n_pairs]
     return psi if times.ndim else psi[:, 0]
-
-
-def evolution_coefficients(spec: Spectrum, psi0) -> np.ndarray:
-    """Eigenbasis expansion coefficients v_n . psi0 of grid samples psi0.
-
-    They follow the sign convention of ``Spectrum.eigenvectors``, which this
-    forms if nothing has read it yet.
-    """
-    _require_vectors(spec, "evolution_coefficients")
-    return _times_complex(spec.eigenvectors.T, _grid_samples(spec, psi0))

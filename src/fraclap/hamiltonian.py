@@ -22,10 +22,12 @@ import numpy as np
 
 from .basis import BasisKind, Grid, ParityHalves, make_grid, mode_momenta, parity_halves
 from .errors import ConfigError, EvaluationError, NumericalError, ParameterError
-from .operators import OperatorMatrix, abs_power_entries
+from .operators import abs_power_entries
 from .potential import PotentialExpr
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Points of the coarse box-size scan, and of each widening beyond its edge.
+_SCAN_POINTS = 32
 # Doublings of the box-size search beyond each edge of its bracket.
 _MAX_WIDENINGS = 8
 # Why a trace can still fall past the upper limit of the box-size search.
@@ -160,12 +162,8 @@ def assemble_sweep(spec: HamiltonianSpec, L: float, potentials: Iterable) -> Ite
         yield Hamiltonian(replace(spec, potential=potential), grid, halves, kinetic, V)
 
 
-def trace(H: Hamiltonian | OperatorMatrix) -> float:
-    return float(np.trace(H.entries))
-
-
 def _trace_of(spec: HamiltonianSpec, L: float) -> float:
-    """trace(assemble(spec, L)) as a sum over the free modes, in O(N)."""
+    """The trace of ``assemble(spec, L).entries`` as a sum over the free modes, in O(N)."""
     grid = make_grid(spec.kind, spec.N, L)
     kin = np.sum(mode_momenta(grid) ** spec.alpha)
     return float(spec.kinetic_prefactor * kin + sample_on_grid(spec.potential, grid.points).sum())
@@ -197,12 +195,10 @@ def _scan(trace_fn, Ls) -> np.ndarray:
     return traces
 
 
-def _minimize_scan(
-    trace_fn, bracket, tol, lower_cause=_UNBOUNDED_BELOW, scan_points=32
-) -> PmsResult:
+def _minimize_scan(trace_fn, bracket, tol, lower_cause: str) -> PmsResult:
     """Coarse scan over ``bracket``, widened while its minimum sits on an edge.
 
-    Each widening scans ``scan_points`` more points out to twice the upper
+    Each widening scans ``_SCAN_POINTS`` more points out to twice the upper
     edge (or half the lower one), up to ``_MAX_WIDENINGS`` times per side.
     The lowest scanned point and its two neighbours then bracket the
     golden-section refinement.  A trace that still falls at a limit is a
@@ -212,7 +208,7 @@ def _minimize_scan(
     lo, hi = bracket
     if not (0 < lo < hi):
         raise ParameterError(f"need 0 < L_lo < L_hi, got {bracket!r}")
-    Ls = np.linspace(lo, hi, scan_points)
+    Ls = np.linspace(lo, hi, _SCAN_POINTS)
     traces = _scan(trace_fn, Ls)
     widened = {"upper": 0, "lower": 0}
     while True:
@@ -228,7 +224,7 @@ def _minimize_scan(
             )
         widened[side] += 1
         edge = Ls[i]
-        new = np.linspace(edge, 2.0 * edge if i else 0.5 * edge, scan_points + 1)[1:]
+        new = np.linspace(edge, 2.0 * edge if i else 0.5 * edge, _SCAN_POINTS + 1)[1:]
         new_traces = _scan(trace_fn, new)
         if i:
             Ls, traces = np.concatenate((Ls, new)), np.concatenate((traces, new_traces))

@@ -32,11 +32,11 @@ import numpy as np
 
 from . import __version__
 from .basis import BasisKind
-from .config import JobConfig, Preset
+from .config import JobConfig, Preset, evolve_table_name
 from .eigen import Spectrum, block_vectors, classify_parity, eigendecompose, evolve
 
-# Only |c| is read here, and the mode-space coefficients need no grid vector.
-# benchmarks/tracing.py times the evolve layer through this name and ``evolve``.
+# The evolve layer's coefficients, under the name that benchmarks/tracing.py
+# swaps to time it with ``evolve``; only |c| is read here.
 from .eigen import mode_coefficients as evolution_coefficients
 from .errors import ConfigError, NumericalError
 from .hamiltonian import HamiltonianSpec, assemble, assemble_sweep, find_pms_length, sample_on_grid
@@ -423,7 +423,7 @@ def run_evolve(cfg: JobConfig) -> list[ResultTable]:
         metadata["coeff_norm"] = _fmt(coeff_norm)
         tables.append(
             ResultTable(
-                name=f"evolve_t{t:g}",
+                name=evolve_table_name(t),
                 columns=["x", "re", "im", "abs2"],
                 rows=rows,
                 metadata=metadata,

@@ -14,16 +14,12 @@ import numpy as np
 from .errors import ParameterError
 
 
-def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if not np.isfinite(x) or x <= 0:
-        raise ParameterError(f"ln_gamma needs x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def beta_function(a: float, b: float) -> float:
-    """Euler beta B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b)."""
-    return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
+    """Euler beta B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for a, b > 0."""
+    for name, v in (("a", a), ("b", b)):
+        if not np.isfinite(v) or v <= 0:
+            raise ParameterError(f"beta_function needs {name} > 0, got {v!r}")
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 @dataclass(frozen=True)
@@ -68,10 +64,15 @@ def wkb_energy(model: WkbModel, n: int) -> float:
 
 
 def exact_box_energy(alpha: float, d_alpha: float, hbar: float, a: float, n: int) -> float:
-    """Exact level D (hbar n pi / 2a)**alpha of the fractional infinite well.
+    """Exact level D (hbar n pi / 2a)**alpha of the spectral fractional Laplacian of the box.
 
-    The well eigenfunctions do not depend on alpha, so the spectrum follows
-    directly from the alpha = 2 one; modes are counted from n = 1.
+    This is Laskin's fractional infinite well: the modes sin(n pi (x + a) / 2a)
+    do not depend on alpha, so the spectrum follows from the alpha = 2 one;
+    modes are counted from n = 1.  The Dirichlet basis discretizes this
+    operator, and these are its exact levels.  They are not the levels of
+    the whole-line |p|^alpha restricted to the well, whose modes depend on
+    alpha: on (-1, 1) at alpha = 1 its lowest level is 1.1577738836977,
+    against pi/2 here.
     """
     if n < 1:
         raise ParameterError(f"box modes start at n = 1, got {n!r}")

@@ -41,13 +41,13 @@ from fraclap import (
     classify_parity,
     coefficients,
     eigendecompose,
-    evolution_coefficients,
     evolve,
     exact_box_energy,
     find_pms_length,
     fractional_laplacian_matrix,
     fractional_multiplier,
     make_grid,
+    mode_coefficients,
     multiplier_matrix,
     parse,
 )
@@ -335,10 +335,10 @@ class TestAcceptance7PropertySuite:
         )
         spectrum = eigendecompose(assemble(spec, 5.0))
         psi0 = np.exp(-4.0 * spectrum.grid.points**2)
-        n0 = float(np.sum(np.abs(evolution_coefficients(spectrum, psi0)) ** 2))
+        n0 = float(np.sum(np.abs(mode_coefficients(spectrum, psi0)) ** 2))
         drift = 0.0
         for t in (0.0, 1.0, 10.0):
-            c = evolution_coefficients(spectrum, evolve(spectrum, psi0, 1.0, t))
+            c = mode_coefficients(spectrum, evolve(spectrum, psi0, 1.0, t))
             drift = max(drift, abs(float(np.sum(np.abs(c) ** 2)) - n0))
         _report("7f", drift <= 1e-12, f"max coefficient-norm drift = {drift:.2e}")
 

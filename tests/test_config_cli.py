@@ -15,7 +15,6 @@ from fraclap import (
     classify_parity,
     eigendecompose,
     find_pms_length,
-    mode_state,
     parse,
 )
 from fraclap import config, jobs
@@ -141,6 +140,29 @@ class TestBuildJobConfig:
     def test_wkb_compare_needs_oscillator(self):
         with pytest.raises(ConfigError):
             _cfg(mode="wkb-compare", potential="free")
+
+    @pytest.mark.parametrize("key, closest", [("n_state", "n_states"), ("fromat", "format"),
+                                              ("n", "N"), ("qmax", "q_max")])
+    def test_unknown_key_names_the_closest_known_one(self, key, closest):
+        match = f"unknown key '{key}' \\(closest known key: '{closest}'\\)"
+        with pytest.raises(ConfigError, match=match):
+            _cfg(**{key: "2"})
+
+    def test_a_key_of_another_mode_is_allowed(self):
+        # a spectrum job ignores the sweep and evolve keys
+        assert _cfg(q_max="5", psi0="exp(-x^2)", times="0").mode == "spectrum"
+
+    @pytest.mark.parametrize("times, first, second, name", [
+        ("0.1, 0.1000001, 2", "0.1", "0.1000001", "evolve_t0.1.csv"),
+        ("0, 0", "0.0", "0.0", "evolve_t0.csv"),
+    ])
+    def test_evolve_times_that_share_a_file_are_refused(self, times, first, second, name):
+        # both times format to one file name, so the later table would overwrite the earlier
+        match = f"t = {first} and t = {second} would both write {name}"
+        with pytest.raises(ConfigError, match=match):
+            _cfg(mode="evolve", psi0="exp(-x^2)", times=times, L="6")
+        distinct = _cfg(mode="evolve", psi0="exp(-x^2)", times="0.1, 0.100001", L="6")
+        assert distinct.times == (0.1, 0.100001)
 
     def test_memory_preflight_refuses_a_large_N(self, monkeypatch):
         # 7 dense 10001 x 10001 matrices are 5.2 GiB, against 1 GiB of memory;
@@ -471,6 +493,17 @@ class TestCliRun:
         assert "config error:" in result.output
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("text, override", [
+        (SPECTRUM_CFG + "n_state = 2\nfromat = json\n", ()),
+        (SPECTRUM_CFG, ("--set", "n_state=2")),
+    ])
+    def test_unknown_key_exit_code(self, runner, tmp_path, text, override):
+        cfg = _write_cfg(tmp_path, text)
+        result = runner.invoke(main, ["run", "--config", cfg, "--out", str(tmp_path), *override])
+        assert result.exit_code == 1
+        assert "config error: unknown key 'n_state' (closest known key: 'n_states')" in result.output
+        assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("*.json"))
 
     def test_bad_set_exit_code(self, runner, tmp_path):
         cfg = _write_cfg(tmp_path, SPECTRUM_CFG)

@@ -21,11 +21,9 @@ from fraclap import (
     block_vectors,
     classify_parity,
     eigendecompose,
-    evolution_coefficients,
     evolve,
     make_grid,
     mode_coefficients,
-    mode_state,
     parity_map,
     reconstruct,
 )
@@ -148,12 +146,10 @@ class TestEigendecompose:
 
 _READERS = {
     "eigenvectors": lambda spec: spec.eigenvectors,
-    "mode_state": lambda spec: mode_state(spec, 0),
     "parity_signs": lambda spec: parity_signs(spec),
     "classify_parity": lambda spec: classify_parity(spec),
     "mode_coefficients": lambda spec: mode_coefficients(spec, np.ones(spec.grid.dim)),
     "evolve": lambda spec: evolve(spec, np.ones(spec.grid.dim), 1.0, 0.5),
-    "evolution_coefficients": lambda spec: evolution_coefficients(spec, np.ones(spec.grid.dim)),
     "reconstruct": lambda spec: reconstruct(spec, 0, 10),
 }
 
@@ -188,10 +184,9 @@ class TestValuesOnly:
             " kind=BasisKind.DIRICHLET, N=6), 4.0)\n"
             "s = eigendecompose(H, vectors=False)\n"
             "u = np.ones(s.grid.dim)\n"
-            "calls = [lambda: s.eigenvectors, lambda: mode_state(s, 0), lambda: parity_signs(s),"
+            "calls = [lambda: s.eigenvectors, lambda: parity_signs(s),"
             " lambda: classify_parity(s), lambda: mode_coefficients(s, u),"
-            " lambda: evolve(s, u, 1.0, 0.5), lambda: evolution_coefficients(s, u),"
-            " lambda: reconstruct(s, 0, 10)]\n"
+            " lambda: evolve(s, u, 1.0, 0.5), lambda: reconstruct(s, 0, 10)]\n"
             "for call in calls:\n"
             "    try:\n"
             "        call()\n"
@@ -208,8 +203,8 @@ class TestValuesOnly:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == [
-            "eigenvectors", "mode_state", "parity_signs", "classify_parity",
-            "mode_coefficients", "evolve", "evolution_coefficients", "reconstruct",
+            "eigenvectors", "parity_signs", "classify_parity",
+            "mode_coefficients", "evolve", "reconstruct",
         ]
 
     @pytest.mark.parametrize("kind", list(BasisKind))
@@ -348,14 +343,17 @@ class TestHalfBlocks:
 
 
 def _check_mode_transform_up_to_sign(potential, kind):
+    # each block's Y_b, placed on its mode columns and at its states, is
+    # S^T v_i state by state up to one sign; mode_coefficients, evolve and
+    # the q-sweep's overlaps all rest on this
     H = _hamiltonian(potential, kind=kind, N=24, L=5.0)
     spectrum = eigendecompose(H)
-    states = [mode_state(spectrum, i) for i in range(len(spectrum.eigenvalues))]
-    assert "eigenvectors" not in vars(spectrum)
-    S = mode_matrix(H.grid)
-    for i, y in enumerate(states):
-        ref = S.T @ spectrum.eigenvectors[:, i]
-        assert min(np.abs(y - ref).max(), np.abs(y + ref).max()) <= 1e-13
+    dim = len(spectrum.eigenvalues)
+    Y = np.zeros((dim, dim))
+    for half, block in zip(spectrum.halves.blocks, spectrum.blocks):
+        Y[np.ix_(half.cols, block.at)] = block.vectors
+    ref = mode_matrix(H.grid).T @ spectrum.eigenvectors
+    assert np.minimum(np.abs(Y - ref).max(axis=0), np.abs(Y + ref).max(axis=0)).max() <= 1e-13
 
 
 class TestModeState:
@@ -366,12 +364,6 @@ class TestModeState:
     @pytest.mark.parametrize("kind", list(BasisKind))
     def test_uneven_potential_is_mode_transform_up_to_sign(self, kind):
         _check_mode_transform_up_to_sign(UNEVEN, kind)
-
-    def test_rejects_a_missing_state(self):
-        spectrum = eigendecompose(_hamiltonian(EVEN))
-        for i in (-1, len(spectrum.eigenvalues)):
-            with pytest.raises(DimensionError):
-                mode_state(spectrum, i)
 
 
 class TestMathieuA0Scatter:
@@ -539,10 +531,11 @@ class TestEvolve:
     def test_norm_conservation(self):
         spectrum = self._spectrum()
         psi0 = np.exp(-10 * (spectrum.grid.points - 0.5) ** 2)
-        n0 = np.sum(np.abs(evolution_coefficients(spectrum, psi0)) ** 2)
+        V = spectrum.eigenvectors
+        n0 = np.sum(np.abs(V.T @ psi0) ** 2)
         for t in (0.5, 3.0, 20.0):
             psi_t = evolve(spectrum, psi0, 1.0, t)
-            n_t = np.sum(np.abs(evolution_coefficients(spectrum, psi_t)) ** 2)
+            n_t = np.sum(np.abs(V.T @ psi_t) ** 2)
             assert abs(n_t - n0) <= 1e-12 * n0
 
     def test_linearity(self):
@@ -561,7 +554,9 @@ class TestEvolve:
         psi0 = np.exp(-(x**2)) * (1.0 + 0.5j * np.sin(3.0 * x))
         V = spectrum.eigenvectors.astype(complex)
         c = V.T @ psi0
-        assert np.abs(evolution_coefficients(spectrum, psi0) - c).max() <= 1e-14
+        # the mode coefficients are these projections up to one sign per state
+        got = mode_coefficients(spectrum, psi0)
+        assert np.minimum(np.abs(got - c), np.abs(got + c)).max() <= 1e-14
         t = 2.3
         expected = V @ (np.exp(-1j * t * spectrum.eigenvalues) * c)
         assert np.abs(evolve(spectrum, psi0, 1.0, t) - expected).max() <= 1e-14
@@ -593,8 +588,8 @@ class TestEvolve:
             expected = V @ (np.exp(-1j * t * spectrum.eigenvalues / 0.8) * (V.T @ psi0))
             assert np.abs(psi[:, j] - expected).max() <= 1e-13
         # the mode coefficients are the grid-vector ones up to a sign per state
-        c, ref = mode_coefficients(spectrum, psi0), evolution_coefficients(spectrum, psi0)
-        assert np.abs(np.abs(c) - np.abs(ref)).max() <= 1e-14
+        c, ref = mode_coefficients(spectrum, psi0), V.T @ psi0
+        assert np.minimum(np.abs(c - ref), np.abs(c + ref)).max() <= 1e-14
 
     def test_evolution_leaves_the_grid_vectors_unformed(self):
         spectrum = self._spectrum()
@@ -614,7 +609,5 @@ class TestEvolve:
         spectrum = self._spectrum()
         with pytest.raises(DimensionError):
             evolve(spectrum, np.zeros(5), 1.0, 0.0)
-        with pytest.raises(DimensionError):
-            evolution_coefficients(spectrum, np.zeros(5))
         with pytest.raises(DimensionError):
             mode_coefficients(spectrum, np.zeros(5))

@@ -16,10 +16,9 @@ from fraclap import (
     fractional_laplacian_matrix,
     make_grid,
     parse,
-    trace,
 )
 from fraclap.basis import mode_momenta
-from fraclap.hamiltonian import _minimize_scan
+from fraclap.hamiltonian import _UNBOUNDED_BELOW, _minimize_scan
 from fraclap.operators import abs_power_entries
 
 FREE = lambda x: 0.0
@@ -70,9 +69,12 @@ class TestAssemble:
         ).max()
 
     def test_trace_identity(self):
+        # S is orthogonal: the dense matrix has the trace of the mode-space form
         spec = HamiltonianSpec(alpha=1.3, potential=HARMONIC, kind=BasisKind.DIRICHLET, N=8)
         H = assemble(spec, 2.5)
-        assert trace(H) == pytest.approx(float(np.trace(H.entries)), rel=1e-15)
+        assert float(np.trace(H.entries)) == pytest.approx(
+            float(H.kinetic.sum() + H.potential.sum()), rel=1e-15
+        )
 
     def test_parsed_potential_accepted(self):
         from fraclap import parse
@@ -160,12 +162,13 @@ def _dirichlet_pms(alpha, c, beta, N):
 class TestPms:
     @pytest.mark.parametrize("kind", list(BasisKind))
     def test_trace_matches_full_assembly(self, kind):
-        # the O(N) mode-sum trace must agree with trace(assemble(...))
+        # the O(N) mode-sum trace must agree with the trace of the assembled matrix
         spec = HamiltonianSpec(alpha=1.5, potential=HARMONIC, kind=kind, N=10)
         from fraclap.hamiltonian import _trace_of
 
         for L in (2.0, 5.0, 9.0):
-            assert _trace_of(spec, L) == pytest.approx(trace(assemble(spec, L)), rel=1e-12)
+            dense = np.trace(assemble(spec, L).entries)
+            assert _trace_of(spec, L) == pytest.approx(dense, rel=1e-12)
 
     def test_minimum_property(self):
         # trace at L_pms must not exceed the trace anywhere on the scan
@@ -283,7 +286,7 @@ class TestMomentumSpace:
 
         spec = _momentum_spec(alpha, N)
         res = find_pms_length(spec, bracket=(0.5, 150.0))
-        assert res == _minimize_scan(dedicated_trace, (0.5, 150.0), 1e-3)
+        assert res == _minimize_scan(dedicated_trace, (0.5, 150.0), 1e-3, _UNBOUNDED_BELOW)
         grid = make_grid(BasisKind.DIRICHLET, N, res.L_pms)
         dedicated = abs_power_entries(grid, 2.0) + np.diag(np.abs(grid.points) ** alpha)
         np.testing.assert_array_equal(assemble(spec, res.L_pms).entries, dedicated)

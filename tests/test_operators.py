@@ -3,18 +3,22 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclap import (
     BasisKind,
+    HamiltonianSpec,
     MultiplierDomainError,
     ParameterError,
     coefficients,
     fractional_laplacian_matrix,
     fractional_multiplier,
+    assemble,
     make_grid,
     multiplier_matrix,
 )
-from fraclap.basis import parity_map
+from fraclap.basis import mode_numbers, parity_map
 
 ALL_KINDS = list(BasisKind)
 
@@ -216,3 +220,24 @@ class TestFractionalLaplacian:
             fractional_laplacian_matrix(coeffs, bad)
         with pytest.raises(ParameterError):
             fractional_multiplier(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    N=st.integers(2, 40),
+    L=st.floats(0.5, 20.0),
+    alpha=st.floats(0.5, 3.0),
+)
+def test_free_spectrum_is_the_multiplier_on_the_modes(kind, N, L, alpha):
+    # with V = 0 the dense matrix of the pipeline and the generic multiplier
+    # route both have the levels D hbar^alpha |n pi / 2L|^alpha of the modes
+    spec = HamiltonianSpec(alpha=alpha, potential=lambda x: 0.0, kind=kind, N=N,
+                           d_alpha=0.7, hbar=1.3)
+    H = assemble(spec, L)
+    assert np.array_equal(H.entries, H.entries.T)
+    p = mode_numbers(H.grid) * np.pi / (2 * L)
+    exact = np.sort(spec.kinetic_prefactor * np.abs(p) ** alpha)
+    generic = multiplier_matrix(coefficients(H.grid), fractional_multiplier(alpha)).entries
+    for ev in (np.linalg.eigvalsh(H.entries), spec.kinetic_prefactor * np.linalg.eigvalsh(generic)):
+        assert np.abs(ev - exact).max() / exact.max() <= 1e-12

@@ -7,7 +7,7 @@ solved.  The soundness property checks the bound against overlaps of
 eigenvectors of the dense grid matrix, solved independently of the block
 route.  The oracle test runs the check that the sweep made before the gap
 bound existed: a full solve at every step, branches picked by
-``parity_signs`` and compared by their ``mode_state`` overlaps.
+``parity_signs`` and compared by the overlaps of their grid vectors.
 """
 
 import math
@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap import BasisKind, HamiltonianSpec, eigendecompose, mode_state
+from fraclap import BasisKind, HamiltonianSpec, eigendecompose
 from fraclap import jobs
 from fraclap.basis import mode_matrix
 from fraclap.config import build_job_config
@@ -64,7 +64,7 @@ def test_gap_bound_is_sound(alpha, N, q0, dq):
 
 
 def _oracle_warnings(alpha, N, q_max, steps):
-    """The continuity warnings from a full solve and mode_state overlaps at every step."""
+    """The continuity warnings from a full solve and grid-vector overlaps at every step."""
     qs = np.linspace(0.0, q_max, steps)
     warnings, prev = [], None
     for q, H in zip(qs, _mathieu_steps(alpha, N, qs)):
@@ -72,7 +72,7 @@ def _oracle_warnings(alpha, N, q_max, steps):
         signs = parity_signs(spectrum)
         even, odd = np.flatnonzero(signs == 1), np.flatnonzero(signs == -1)
         picks = dict(zip(jobs._SWEEP_LABELS, (even[0], odd[0], even[1], odd[1], even[2], odd[2], even[3])))
-        states = {label: mode_state(spectrum, i) for label, i in picks.items()}
+        states = {label: spectrum.eigenvectors[:, i] for label, i in picks.items()}
         if prev is not None:
             for label in jobs._SWEEP_LABELS:
                 overlap = abs(float(states[label] @ prev[label]))
