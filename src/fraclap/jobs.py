@@ -16,8 +16,10 @@ wkb-compare and q-sweep jobs write levels only and solve for eigenvalues
 only; a q-sweep forms one block's states only at a step where the level
 gaps cannot prove its branches continuous.  A time whose
 phases t E_n / hbar would overflow, or carry more than 1e-6 rad of rounding,
-is a ConfigError.  The writers format each row with one %-format, with the
-bytes of the per-value ``_fmt``.
+is a ConfigError.  The writers format a whole table with one %-format: the
+row format is built once from the cell types and repeated over the rows, with
+the bytes of the per-value ``_fmt``.  An evolve job builds its rows from
+whole columns (``tolist``, ``np.hypot``), not cell by cell.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +50,8 @@ _DIGITS = 15
 _NUMBER = f"%.{_DIGITS}g"
 # Largest phase rounding, in radians, that an evolution time may carry.
 _PHASE_TOL = 1e-6
-# Joins the cells of a JSON row while they are formatted; no text cell holds it.
+# Ends each cell of a JSON table while it is formatted; no number's rendering
+# holds it, and a text cell that does is caught by counting.
 _CELL_SEP = "\x1f"
 
 
@@ -58,16 +62,46 @@ def _fmt(value) -> str:
     return f"{value:.{_DIGITS}g}"
 
 
-def _format_row(row, sep: str = ",") -> str:
-    """The cells of a row as ``_fmt`` renders them, joined by ``sep``, in one format call."""
-    return sep.join(["%s" if isinstance(v, str) else _NUMBER for v in row]) % tuple(row)
+def _shared_specs(rows) -> list | None:
+    """The %-spec of each column, if every row can share one row format.
+
+    That holds when the rows have one length and no column mixes text
+    ('%s') with numbers (``_NUMBER``); the test runs at C speed over each
+    column's set of cell types.  Otherwise None.
+    """
+    if len(set(map(len, rows))) != 1:
+        return None
+    specs = []
+    for column in zip(*rows):
+        text = {issubclass(t, str) for t in set(map(type, column))}
+        if len(text) != 1:
+            return None
+        specs.append("%s" if text.pop() else _NUMBER)
+    return specs
+
+
+def _format_table(rows, sep: str, end: str) -> str:
+    """Every cell as ``_fmt`` renders it, joined by ``sep``, each row followed by ``end``.
+
+    The whole table is one %-format.  A table whose rows share one row
+    format repeats it; a ragged table, or one with a column that mixes text
+    and numbers, gets each row's format from its cells' types.
+    """
+    specs = _shared_specs(rows)
+    if specs is not None:
+        fmt = (sep.join(specs) + end) * len(rows)
+    else:
+        fmt = "".join(
+            sep.join(["%s" if isinstance(v, str) else _NUMBER for v in row]) + end for row in rows
+        )
+    return fmt % tuple(chain.from_iterable(rows))
 
 
 @dataclass
 class ResultTable:
     name: str  # output file stem, e.g. 'spectrum'
     columns: list
-    rows: list  # lists of numbers/strings, one per row
+    rows: list  # sequences of numbers/strings, one per row
     metadata: dict
 
 
@@ -394,8 +428,10 @@ def run_evolve(cfg: JobConfig) -> list[ResultTable]:
     """Time evolution of an initial packet; one table per requested time.
 
     All times are propagated by one ``evolve`` call.  The x column is
-    formatted once, and it and every other cell reach the writers as the
-    same bits as per-value output would write.
+    formatted once, and each table's rows are zipped from whole columns.
+    Every cell keeps the bits that per-value Python gave: ``np.hypot``
+    rounds as ``abs`` of a Python complex, and ``h ** 2`` is Python's pow
+    (``h * h`` and ``np.square`` round differently).
     """
     spectrum, L_used, _, pot_text = _solve(cfg, cfg.N)
     points = spectrum.grid.points
@@ -414,7 +450,9 @@ def run_evolve(cfg: JobConfig) -> list[ResultTable]:
     x_cells = [_NUMBER % x for x in points.tolist()]
     tables = []
     for t, psi_t in zip(cfg.times, psi.T):
-        rows = [[x, p.real, p.imag, abs(p) ** 2] for x, p in zip(x_cells, psi_t.tolist())]
+        re, im = psi_t.real, psi_t.imag
+        abs2 = [h ** 2 for h in np.hypot(re, im).tolist()]
+        rows = list(zip(x_cells, re.tolist(), im.tolist(), abs2))
         metadata = _base_metadata(cfg, pot_text)
         metadata["N"] = str(cfg.N)
         metadata["L"] = _fmt(L_used)
@@ -451,20 +489,27 @@ def run_job(cfg: JobConfig) -> list[ResultTable]:
 
 def write_csv(table: ResultTable, directory) -> Path:
     path = Path(directory) / f"{table.name}.csv"
-    lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
-    lines.append(",".join(table.columns))
-    lines.extend(_format_row(row) for row in table.rows)
-    path.write_text("\n".join(lines) + "\n")
+    head = "".join(f"# {key} = {value}\n" for key, value in table.metadata.items())
+    path.write_text(head + ",".join(table.columns) + "\n" + _format_table(table.rows, ",", "\n"))
     return path
+
+
+def _json_rows(rows) -> list:
+    """Each row as its list of ``_fmt`` cells, split from one ``_format_table`` call.
+
+    The split is used only when it finds exactly one ``_CELL_SEP`` per
+    cell; a text cell holding one more gets the table rendered cell by cell.
+    """
+    cells = _format_table(rows, _CELL_SEP, _CELL_SEP).split(_CELL_SEP)
+    if len(cells) != sum(map(len, rows)) + 1:
+        return [[_fmt(v) for v in row] for row in rows]
+    cells = iter(cells)
+    return [list(islice(cells, len(row))) for row in rows]
 
 
 def write_json(table: ResultTable, directory) -> Path:
     path = Path(directory) / f"{table.name}.json"
-    payload = {
-        "metadata": table.metadata,
-        "columns": table.columns,
-        "rows": [_format_row(row, _CELL_SEP).split(_CELL_SEP) for row in table.rows],
-    }
+    payload = {"metadata": table.metadata, "columns": table.columns, "rows": _json_rows(table.rows)}
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
 

@@ -4,10 +4,12 @@ The evolve job solves once, propagates every requested time in one call and
 never forms the grid eigenvectors.  A time whose phases t E_n / hbar would
 overflow or be mostly rounding is a config error, and so is a kinetic
 prefactor D hbar^alpha that overflows, also under ``python -O``.  The
-writers format each row in one call, with the same bytes as formatting value
+writers format each table in one call, with the same bytes as formatting value
 by value.
 """
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraclap
@@ -165,16 +167,70 @@ class TestEvolveJob:
         assert drift <= 5e-13
 
 
-cells = st.one_of(
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7976931348623157e308]
+numbers = st.one_of(
     st.floats(),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats().map(np.float64),
+    st.sampled_from(_SPECIAL + [np.float64(v) for v in _SPECIAL]),
     st.integers(-(10**300), 10**300),
-    st.text(alphabet=st.characters(blacklist_characters="\x1f")),
 )
+# text the formats must pass through: separators, format specs and the JSON cell end
+texts = st.one_of(st.text(), st.sampled_from(["\n", "%", "%s", "%.15g", ",", "a,b", jobs._CELL_SEP, ""]))
 
 
-@given(st.lists(cells, min_size=1, max_size=8))
-def test_one_pass_row_matches_per_value_format(row):
-    expected = [jobs._fmt(v) for v in row]
-    assert jobs._format_row(row) == ",".join(expected)
-    assert jobs._format_row(row, jobs._CELL_SEP).split(jobs._CELL_SEP) == expected
+@st.composite
+def tables(draw):
+    """Rows whose columns each hold text or numbers; one row may be redrawn.
+
+    The redrawn row has the table's width, which can mix text and numbers
+    in a column, or any width, which makes the table ragged.
+    """
+    is_text = draw(st.lists(st.booleans(), max_size=5))
+    rows = draw(st.lists(st.tuples(*[texts if t else numbers for t in is_text]).map(list), max_size=6))
+    if rows:
+        cells = st.one_of(numbers, texts)
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = draw(
+            st.one_of(
+                st.just(rows[i]),
+                st.lists(cells, min_size=len(is_text), max_size=len(is_text)),
+                st.lists(cells, max_size=7),
+            )
+        )
+    return rows
+
+
+@settings(deadline=None)
+@given(tables())
+def test_whole_table_format_matches_per_value_format(rows):
+    expected = [[jobs._fmt(v) for v in row] for row in rows]
+    assert jobs._format_table(rows, ",", "\n") == "".join(",".join(r) + "\n" for r in expected)
+    assert jobs._json_rows(rows) == expected
+
+
+class TestEvolveOutput:
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_files_match_per_cell_rendering(self, tmp_path, out_format):
+        # the rows zipped from whole columns against psi taken cell by cell;
+        # at N = 40, h * h for |psi|^2 would differ from abs(p) ** 2 in 2 cells
+        cfg = build_job_config(
+            {"mode": "evolve", "potential": "x^4 - 0.7*x^2", "alpha": "1.3", "N": "40", "L": "8",
+             "psi0": "exp(-(x - 0.3)^2)", "times": "0, 0.25, 0.5, 1, 2, 4, 8, 16",
+             "format": out_format}
+        )
+        spectrum = jobs._solve(cfg, cfg.N)[0]
+        points = spectrum.grid.points
+        psi0 = jobs.sample_on_grid(jobs.parse(cfg.psi0), points, "psi0")
+        psi = jobs.evolve(spectrum, psi0, cfg.hbar, cfg.times)
+        tables = jobs.run_evolve(cfg)
+        paths = jobs.write_tables(tables, tmp_path, out_format)
+        assert len(paths) == 8
+        for table, path, psi_t in zip(tables, paths, psi.T):
+            cells = [(x, p.real, p.imag, abs(p) ** 2) for x, p in zip(points.tolist(), psi_t.tolist())]
+            assert [tuple(row[1:]) for row in table.rows] == [c[1:] for c in cells]
+            expected = [[jobs._fmt(v) for v in c] for c in cells]
+            text = path.read_text()
+            if out_format == "csv":
+                assert text.split("x,re,im,abs2\n")[1] == "".join(",".join(r) + "\n" for r in expected)
+            else:
+                assert json.loads(text)["rows"] == expected
