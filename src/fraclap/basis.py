@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -74,12 +75,17 @@ class SpectralCoefficients:
     """Expansion coefficients C_n(k, N) of every sampling function.
 
     ``values[p, q]`` is the coefficient of exp(i n pi x / (2L)) in s_k,
-    with k = grid.indices[p] and n = n_values[q].
+    with k = grid.indices[p] and n = n_values[q].  The table is formed on
+    its first read (``_coefficient_table``), not by ``coefficients``.
     """
 
     grid: Grid
-    values: np.ndarray  # complex, shape (dim, 4N + 1)
     n_values: np.ndarray  # integers -2N..2N
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Complex table of shape (dim, 4N + 1)."""
+        return _coefficient_table(self.grid, self.n_values)
 
 
 def make_grid(kind: BasisKind, N: int, L: float) -> Grid:
@@ -291,6 +297,17 @@ def phase_period(grid: Grid) -> int:
 def coefficients(grid: Grid) -> SpectralCoefficients:
     """Coefficients C_n(k, N) of s_k in exp(i n pi x / (2L)), n = -2N..2N.
 
+    Returns at once: the complex table is formed on the first read of
+    ``values`` (by ``_coefficient_table``), so a caller that only needs the
+    grid and the exponents n, such as ``operators.multiplier_matrix``,
+    never pays for it.
+    """
+    return SpectralCoefficients(grid=grid, n_values=np.arange(-2 * grid.N, 2 * grid.N + 1))
+
+
+def _coefficient_table(grid: Grid, n: np.ndarray) -> np.ndarray:
+    """The table C_n(k, N), one row per grid index k and one column per n.
+
     These depend only on the kind and on N, never on L.  Every C_n(k, N) is
     a sine or cosine of 2 pi m / period for an integer phase m, so, as in
     ``mode_matrix``, the phases are reduced modulo their period and gathered
@@ -304,7 +321,6 @@ def coefficients(grid: Grid) -> SpectralCoefficients:
     with P = ``phase_period(grid)``.
     """
     N = grid.N
-    n = np.arange(-2 * N, 2 * N + 1)
     k = grid.indices[:, None]
     M = 2 * N + 1
 
@@ -327,8 +343,7 @@ def coefficients(grid: Grid) -> SpectralCoefficients:
         phase = (2 * k + M) * n
         phase %= 4 * M
         values = _IPOW[n % 4] * (_table(np.cos, 4 * M) / M)[phase]
-
-    return SpectralCoefficients(grid=grid, values=values, n_values=n)
+    return values
 
 
 def _exponential_table(coeffs: SpectralCoefficients, x) -> np.ndarray:

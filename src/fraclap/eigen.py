@@ -11,7 +11,8 @@ problem at q = 0.  The ``Spectrum`` keeps the
 states as mode coefficients: the grid vectors (``Spectrum.eigenvectors``,
 with a fixed sign convention: largest-magnitude component positive) are
 formed only when something reads them.  ``evolve`` never does; it works in
-the modes, for every requested time at once.
+the modes, for every requested time at once.  Nor does ``classify_parity``:
+parities and period tags come from the mode coefficients of each block.
 
 ``eigendecompose(H, vectors=False)`` solves for the eigenvalues only
 (``eigvalsh``); its ``Spectrum`` still places each state in its block, so
@@ -35,7 +36,6 @@ from .basis import (
     ParityHalves,
     coefficients,
     interpolate,
-    mode_matrix,
     mode_numbers,
     quadrature_weights,
 )
@@ -239,18 +239,22 @@ def classify_parity(spec: Spectrum) -> list:
 
     The parity comes from ``parity_signs``.  The period tag compares the
     mass of each state on the free modes with n/2 odd (minimal period 2L)
-    against those with n/2 even (period L): '2L' or 'L' for the dominant
-    one, 'mixed' when both carry more than the threshold share; None for
-    non-periodic grids.  Returns one (parity, period) pair per state.
+    against those with n/2 even (period L), summed over the mode
+    coefficients Y_b of its blocks: '2L' or 'L' for the dominant one,
+    'mixed' when both carry more than the threshold share; None for
+    non-periodic grids.  No grid vector is formed.  Returns one
+    (parity, period) pair per state.
     """
     _require_vectors(spec, "classify_parity")
-    V = spec.eigenvectors
-    periods = [None] * V.shape[1]
+    periods = [None] * len(spec.eigenvalues)
     if spec.grid.kind == BasisKind.PERIODIC:
-        mass = (mode_matrix(spec.grid).T @ V) ** 2
         full_period = (mode_numbers(spec.grid) // 2) % 2 == 1
-        full = mass[full_period].sum(axis=0)
-        half = mass[~full_period].sum(axis=0)
+        full, half = np.zeros((2, len(spec.eigenvalues)))
+        for half_block, block in zip(spec.halves.blocks, spec.blocks):
+            mass = block.vectors**2
+            on_full = full_period[half_block.cols]
+            full[block.at] += mass[on_full].sum(axis=0)
+            half[block.at] += mass[~on_full].sum(axis=0)
         total = full + half
         periods = [
             "mixed" if f > _MIXED_THRESHOLD * t and h > _MIXED_THRESHOLD * t

@@ -2,7 +2,10 @@
 
 Two assembly routes are provided.  ``multiplier_matrix`` evaluates the
 generic complex sum over the exponential expansion and works for any finite
-real multiplier; it is kept as the independent reference.
+real even multiplier; it is kept as the independent reference.  Every
+sampling function is a shifted (Dirichlet and Neumann: also reflected) copy
+of one kernel, so the route takes one inverse FFT of the multiplier values
+and gathers the matrix from it, without the C_n table.
 ``fractional_laplacian_matrix`` (and ``abs_power_entries``, which the dense
 ``entries`` of a ``hamiltonian.Hamiltonian`` use) diagonalizes |p|^alpha in
 the free modes of the grid: with the orthogonal mode matrix S of
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import BasisKind, Grid, SpectralCoefficients, mode_matrix, mode_momenta, phase_period
 from .errors import MultiplierDomainError, NumericalError, ParameterError
@@ -33,21 +37,31 @@ class OperatorMatrix:
 def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float]) -> OperatorMatrix:
     """Collocation matrix of m(p) through the exponential expansion.
 
-    Entry (k, j) is sum_n C_n(k, N) m(n pi / 2L) exp(i n pi x_j / 2L); the
-    imaginary parts must cancel and are dropped after a residue check.  m is
+    Entry (k, j) is sum_n C_n(k, N) m(n pi / 2L) exp(i n pi x_j / 2L).  m is
     called once per momentum, as a Python float; an exception from m, or a
     complex or non-finite value, raises ``MultiplierDomainError`` for the
-    first such momentum (chained to the exception).  On
-    the grid the exponential is exp(2 pi i n j / P) with the integer period
-    P of ``basis.phase_period``, so each row is one inverse DFT of length P
-    over the terms summed by n mod P, written straight into place: n < 0 at
-    P + n, n >= 0 at n, and where P = 4N the terms of n = 2N add onto those
-    of n = -2N.  Terms with C_n = 0 cost nothing.  On a periodic grid every
-    odd n has C_n = 0, and n = 2m gives exp(2 pi i m j / (P/2)), so the even
-    terms fold over m modulo P/2 = 2N + 1 instead, half the DFT length.
+    first such momentum (chained to the exception).
+
+    On the grid the exponential is exp(2 pi i n j / P) with the integer
+    period P of ``basis.phase_period``, and every sampling function is a
+    shifted (Dirichlet and Neumann: also reflected) copy of one kernel
+    T[d] = (1/Z) sum_n m(p_n) exp(2 pi i n d / P), the sum over the n whose
+    C_n do not vanish.  So the whole matrix is one inverse FFT of length P
+    of the multiplier values folded by n mod P, then Toeplitz (and Hankel)
+    windows over T:
+
+    - periodic (even n, Z = 2N + 1), antiperiodic (odd n, Z = 2N):
+      T[(j - k) mod P];
+    - Dirichlet (Z = 4N): T[(j - k) mod P] - T[(j + k + 2N) mod P];
+    - Neumann (Z = 2(2N + 1)): T[(j - k) mod P] + T[(j + k + 2N + 1) mod P].
+
+    The imaginary part of T must vanish (it does for an even m) and is
+    dropped after a residue check; an odd m raises ``NumericalError``.  The
+    C_n table itself is never read.
     """
     grid = coeffs.grid
-    momenta = (coeffs.n_values * np.pi / (2.0 * grid.L)).tolist()
+    n = coeffs.n_values
+    momenta = (n * np.pi / (2.0 * grid.L)).tolist()
     raw = []
     try:
         for p in momenta:
@@ -61,24 +75,32 @@ def multiplier_matrix(coeffs: SpectralCoefficients, m: Callable[[float], float])
                 raise MultiplierDomainError(p, v)
         values = values.astype(float)
 
-    step = 2 if grid.kind == BasisKind.PERIODIC else 1  # fold n = step * m over m
-    period = phase_period(grid) // step
-    C, values = coeffs.values[:, ::step], values[::step]
-    neg = 2 * grid.N // step  # m < 0 come first
-    free = min(neg + 1, period - neg)  # m = 0 .. free - 1 land on empty residues
-    folded = np.zeros((grid.dim, period), dtype=complex)
-    np.multiply(C[:, :neg], values[:neg], out=folded[:, period - neg:])
-    np.multiply(C[:, neg:neg + free], values[neg:neg + free], out=folded[:, :free])
-    folded[:, free:neg + 1] += C[:, neg + free:] * values[neg + free:]
-    np.fft.ifft(folded, axis=1, norm="forward", out=folded)
-    raw = folded[:, grid.indices % period]
-    scale = max(1.0, float(np.abs(raw).max()))
-    resid = float(np.abs(raw.imag).max())
+    N, period, kind = grid.N, phase_period(grid), grid.kind
+    if kind == BasisKind.PERIODIC:
+        terms, Z = n % 2 == 0, period // 2
+    elif kind == BasisKind.ANTIPERIODIC:
+        terms, Z = n % 2 == 1, period // 2
+    else:
+        terms, Z = slice(None), period
+    folded = np.bincount(n[terms] % period, weights=values[terms], minlength=period)
+    kernel = np.fft.ifft(folded, norm="forward") / Z
+    scale = max(1.0, float(np.abs(kernel).max()))
+    resid = float(np.abs(kernel.imag).max())
     if resid > 1e-12 * scale:
         raise NumericalError(
             f"imaginary residue {resid:.3e} left after multiplier assembly"
         )
-    return OperatorMatrix(grid=grid, entries=np.ascontiguousarray(raw.real))
+    # Rows r and columns c hold consecutive indices, so j - k = c - r; on the
+    # symmetric Dirichlet and Neumann index sets j + k = r + c - (dim - 1).
+    # Both terms are sliding windows over one run of T, d = 1 - dim..dim - 1.
+    T, dim = kernel.real, grid.dim
+    d = np.arange(1 - dim, dim)
+    entries = sliding_window_view(T[d % period], dim)[::-1].copy()
+    if kind == BasisKind.DIRICHLET:
+        entries -= sliding_window_view(T[(d + 2 * N) % period], dim)
+    elif kind == BasisKind.NEUMANN:
+        entries += sliding_window_view(T[(d + 2 * N + 1) % period], dim)
+    return OperatorMatrix(grid=grid, entries=entries)
 
 
 def abs_power_entries(grid: Grid, alpha: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from fraclap import (
     parity_map,
     reconstruct,
 )
-from fraclap.basis import mode_matrix, mode_parities
+from fraclap.basis import mode_matrix, mode_numbers, mode_parities
 from fraclap.eigen import parity_signs
 
 FREE = lambda x: 0.0
@@ -461,6 +461,51 @@ class TestClassifyParity:
         spectrum = eigendecompose(assemble(spec_h, 4.0))
         labels = classify_parity(spectrum)
         assert any(p == "mixed" for p, _ in labels)
+
+
+def _grid_vector_period_tags(spectrum) -> list:
+    """The period tags from the grid vectors: the mass of S^T v on n/2 odd against n/2 even."""
+    mass = (mode_matrix(spectrum.grid).T @ spectrum.eigenvectors) ** 2
+    full_period = (mode_numbers(spectrum.grid) // 2) % 2 == 1
+    full, half = mass[full_period].sum(axis=0), mass[~full_period].sum(axis=0)
+    total = full + half
+    return [
+        "mixed" if f > 0.1 * t and h > 0.1 * t else ("2L" if f >= h else "L")
+        for f, h, t in zip(full, half, total)
+    ]
+
+
+PERIODIC_POTENTIALS = {
+    "mathieu(1)": lambda x: 2.0 * np.cos(2.0 * x),
+    "mathieu(8)": lambda x: 16.0 * np.cos(2.0 * x),
+    "cos(x)": lambda x: 3.0 * np.cos(x),
+    "x^2": lambda x: x * x,
+    "abs(sin(x))": lambda x: 4.0 * np.abs(np.sin(x)),
+    "2*cos(2*x) + 0.5*sin(x)": lambda x: 2.0 * np.cos(2.0 * x) + 0.5 * np.sin(x),
+    "cos(x) + 0.3*x": lambda x: np.cos(x) + 0.3 * x,
+}
+
+
+class TestPeriodTagsFromModes:
+    @pytest.mark.parametrize("name", list(PERIODIC_POTENTIALS))
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("N", [10, 30, 60])
+    def test_match_the_grid_vector_route(self, name, alpha, N):
+        # the last two potentials are uneven: one coupled solve, each state in both blocks
+        spectrum = eigendecompose(
+            _hamiltonian(PERIODIC_POTENTIALS[name], kind=BasisKind.PERIODIC, N=N, L=math.pi, alpha=alpha)
+        )
+        tags = [period for _, period in classify_parity(spectrum)]
+        assert "eigenvectors" not in vars(spectrum)
+        assert tags == _grid_vector_period_tags(spectrum)
+
+    @pytest.mark.parametrize("name", ["mathieu(1)", "2*cos(2*x) + 0.5*sin(x)"])
+    def test_match_the_grid_vector_route_at_n200(self, name):
+        spectrum = eigendecompose(
+            _hamiltonian(PERIODIC_POTENTIALS[name], kind=BasisKind.PERIODIC, N=200, L=math.pi)
+        )
+        tags = [period for _, period in classify_parity(spectrum)]
+        assert tags == _grid_vector_period_tags(spectrum)
 
 
 class TestReconstruct:

@@ -5,7 +5,8 @@ never forms the grid eigenvectors.  A time whose phases t E_n / hbar would
 overflow or be mostly rounding is a config error, and so is a kinetic
 prefactor D hbar^alpha that overflows, also under ``python -O``.  The
 writers format each table in one call, with the same bytes as formatting value
-by value.
+by value, and a JSON table has the bytes of ``json.dumps(payload, indent=2)``.
+A spectrum job labels its states without forming a grid eigenvector.
 """
 
 import json
@@ -13,12 +14,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraclap
@@ -206,6 +208,57 @@ def test_whole_table_format_matches_per_value_format(rows):
     expected = [[jobs._fmt(v) for v in row] for row in rows]
     assert jobs._format_table(rows, ",", "\n") == "".join(",".join(r) + "\n" for r in expected)
     assert jobs._json_rows(rows) == expected
+
+
+# text a JSON writer must escape or pass through: quotes, backslashes,
+# control characters, format specs and non-ASCII
+json_texts = st.one_of(texts, st.sampled_from(['"', '\\', '\n', '%', 'a"b\n%c', 'é', '\u2028', '\U0001f600', '\x00']))
+
+
+@settings(deadline=None)
+@given(
+    tables(),
+    st.dictionaries(json_texts, json_texts, max_size=4),
+    st.lists(json_texts, max_size=5),
+)
+@example([], {"k": 'v\n"'}, ["a"])
+@example([[]], {}, [])
+@example([[], ["a"]], {}, ["a", "b"])
+@example([['"%\n', 1.5], ["é", 2]], {"é": "%"}, ["a", "b"])
+def test_json_writer_matches_json_dumps(rows, metadata, columns):
+    table = jobs.ResultTable(name="t", columns=columns, rows=rows, metadata=metadata)
+    expected = {"metadata": metadata, "columns": columns, "rows": [[jobs._fmt(v) for v in row] for row in rows]}
+    with tempfile.TemporaryDirectory() as tmp:
+        text = jobs.write_json(table, tmp).read_text()
+    assert text == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        {"basis": "dirichlet", "potential": "oscillator(2.5)"},
+        {"basis": "neumann", "potential": "abs(x)^3"},
+        {"basis": "antiperiodic", "potential": "oscillator(2)"},
+        {"basis": "periodic", "potential": "mathieu(1)"},
+        {"basis": "periodic", "potential": "2*cos(2*x) + 0.5*sin(x)", "L": "pi"},
+        {"basis": "dirichlet", "potential": "x^4 + x", "L": "6"},
+    ],
+)
+def test_spectrum_job_forms_no_grid_eigenvector(monkeypatch, pairs):
+    # the labels come from the mode blocks, on every kind and for an uneven V
+    labelled = []
+
+    def spy(spectrum):
+        labelled.append(spectrum)
+        return classify_parity(spectrum)
+
+    classify_parity = jobs.classify_parity
+    monkeypatch.setattr(jobs, "classify_parity", spy)
+    cfg = build_job_config({"mode": "spectrum", "alpha": "1.5", "N": "30", "n_states": "6", **pairs})
+    table = jobs.run_spectrum(cfg)
+    assert len(table.rows) == 6
+    (spectrum,) = labelled
+    assert "eigenvectors" not in spectrum.__dict__
 
 
 class TestEvolveOutput:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,6 +14,7 @@ from fraclap import (
     BasisKind,
     HamiltonianSpec,
     MultiplierDomainError,
+    NumericalError,
     ParameterError,
     coefficients,
     fractional_laplacian_matrix,
@@ -18,7 +23,7 @@ from fraclap import (
     make_grid,
     multiplier_matrix,
 )
-from fraclap.basis import mode_numbers, parity_map
+from fraclap.basis import mode_numbers, parity_map, phase_period
 
 ALL_KINDS = list(BasisKind)
 
@@ -135,6 +140,86 @@ class TestMultiplierMatrix:
         assert str(info.value) == (
             "multiplier raised at momentum 0.0: got ZeroDivisionError('float division by zero')"
         )
+
+
+def _direct_sum(coeffs, m) -> np.ndarray:
+    """sum_n C_n(k) m(p_n) exp(i n pi x_j / 2L) from the C_n table, term by term.
+
+    On the grid the exponential is exp(2 pi i (n j mod P) / P), with the
+    integer phase reduced before the complex exponential is taken.
+    """
+    grid = coeffs.grid
+    n = coeffs.n_values
+    period = phase_period(grid)
+    m_n = np.array([m(float(v)) for v in n * np.pi / (2.0 * grid.L)])
+    waves = np.exp(2j * np.pi * (np.multiply.outer(n, grid.indices) % period) / period)
+    return (coeffs.values * m_n) @ waves
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    N=st.integers(2, 12),
+    L=st.floats(0.2, 20.0),
+    alpha=st.floats(0.3, 3.0),
+)
+def test_multiplier_matrix_is_the_direct_sum_over_the_coefficient_table(kind, N, L, alpha):
+    # the one-kernel FFT route against the definition, which ties the C_n
+    # table of ``coefficients`` to the reference matrix
+    coeffs = _coeffs(kind, N, L)
+    m = fractional_multiplier(alpha)
+    M = multiplier_matrix(coeffs, m).entries
+    direct = _direct_sum(coeffs, m)
+    scale = np.abs(direct).max()
+    assert np.abs(direct.imag).max() <= 1e-14 * scale
+    assert np.abs(M - direct.real).max() <= 1e-14 * scale
+    # symmetric to rounding: 2.6e-16 relative measured over N = 2..200
+    assert np.abs(M - M.T).max() <= 1e-15 * np.abs(M).max()
+
+
+class TestKernelRoute:
+    def test_leaves_the_coefficient_table_unformed(self):
+        coeffs = _coeffs(BasisKind.NEUMANN, 6, 1.0)
+        multiplier_matrix(coeffs, fractional_multiplier(1.5))
+        assert "values" not in vars(coeffs)
+        table = coeffs.values
+        assert coeffs.values is table  # formed once, then kept
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_odd_multiplier_raises(self, kind):
+        # p is real but odd: the kernel is imaginary, and the matrix would be complex
+        with pytest.raises(NumericalError, match="imaginary residue"):
+            multiplier_matrix(_coeffs(kind, 5, 1.0), lambda p: p)
+
+    def test_odd_multiplier_raises_under_python_O(self):
+        # an if/raise, not an assert: python -O must not strip it
+        code = (
+            "from fraclap import BasisKind, NumericalError, coefficients, make_grid, multiplier_matrix\n"
+            "try:\n"
+            "    multiplier_matrix(coefficients(make_grid(BasisKind.DIRICHLET, 5, 1.0)), lambda p: p)\n"
+            "except NumericalError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_large_grid_matches_the_free_modes(self, kind):
+        # N = 200 against S diag(|p_n|^alpha) S^T; Neumann transforms at
+        # length 802 = 2 * 401
+        coeffs = _coeffs(kind, 200, 7.5)
+        generic = multiplier_matrix(coeffs, fractional_multiplier(1.5)).entries
+        closed = fractional_laplacian_matrix(coeffs, 1.5).entries
+        # measured 2.0e-15 relative over N = 2..200
+        assert np.abs(generic - closed).max() <= 1e-14 * np.abs(closed).max()
 
 
 class TestFractionalLaplacian:
