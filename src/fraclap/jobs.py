@@ -29,7 +29,6 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -508,26 +507,10 @@ def _json_rows(rows) -> list:
     return [list(islice(cells, len(row))) for row in rows]
 
 
-def _json_row(cells) -> str:
-    """One row in the layout of ``json.dumps(..., indent=2)``, nested in "rows"."""
-    if not cells:
-        return "    []"
-    return "    [\n      " + ",\n      ".join(map(encode_basestring_ascii, cells)) + "\n    ]"
-
-
 def write_json(table: ResultTable, directory) -> Path:
-    """The table as ``json.dumps(payload, indent=2)`` writes it, plus a newline.
-
-    Only the metadata and the columns go through ``json.dumps``; the row
-    cells, all strings, are encoded by json's C string encoder and spliced
-    into the same layout in place of the empty "rows" list.
-    """
     path = Path(directory) / f"{table.name}.json"
-    head = json.dumps({"metadata": table.metadata, "columns": table.columns, "rows": []}, indent=2)
-    rows = _json_rows(table.rows)
-    if rows:
-        head = head[: -len("[]\n}")] + "[\n" + ",\n".join(map(_json_row, rows)) + "\n  ]\n}"
-    path.write_text(head + "\n")
+    payload = {"metadata": table.metadata, "columns": table.columns, "rows": _json_rows(table.rows)}
+    path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
 
 

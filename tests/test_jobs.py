@@ -5,7 +5,7 @@ never forms the grid eigenvectors.  A time whose phases t E_n / hbar would
 overflow or be mostly rounding is a config error, and so is a kinetic
 prefactor D hbar^alpha that overflows, also under ``python -O``.  The
 writers format each table in one call, with the same bytes as formatting value
-by value, and a JSON table has the bytes of ``json.dumps(payload, indent=2)``.
+by value.
 A spectrum job labels its states without forming a grid eigenvector.
 """
 
@@ -14,13 +14,12 @@ import math
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraclap
@@ -208,29 +207,6 @@ def test_whole_table_format_matches_per_value_format(rows):
     expected = [[jobs._fmt(v) for v in row] for row in rows]
     assert jobs._format_table(rows, ",", "\n") == "".join(",".join(r) + "\n" for r in expected)
     assert jobs._json_rows(rows) == expected
-
-
-# text a JSON writer must escape or pass through: quotes, backslashes,
-# control characters, format specs and non-ASCII
-json_texts = st.one_of(texts, st.sampled_from(['"', '\\', '\n', '%', 'a"b\n%c', 'é', '\u2028', '\U0001f600', '\x00']))
-
-
-@settings(deadline=None)
-@given(
-    tables(),
-    st.dictionaries(json_texts, json_texts, max_size=4),
-    st.lists(json_texts, max_size=5),
-)
-@example([], {"k": 'v\n"'}, ["a"])
-@example([[]], {}, [])
-@example([[], ["a"]], {}, ["a", "b"])
-@example([['"%\n', 1.5], ["é", 2]], {"é": "%"}, ["a", "b"])
-def test_json_writer_matches_json_dumps(rows, metadata, columns):
-    table = jobs.ResultTable(name="t", columns=columns, rows=rows, metadata=metadata)
-    expected = {"metadata": metadata, "columns": columns, "rows": [[jobs._fmt(v) for v in row] for row in rows]}
-    with tempfile.TemporaryDirectory() as tmp:
-        text = jobs.write_json(table, tmp).read_text()
-    assert text == json.dumps(expected, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

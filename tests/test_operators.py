@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraclap import (
@@ -163,6 +163,12 @@ def _direct_sum(coeffs, m) -> np.ndarray:
     L=st.floats(0.2, 20.0),
     alpha=st.floats(0.3, 3.0),
 )
+# the grid size the benchmarks run, where the Toeplitz and Hankel offsets span
+# the whole kernel (Neumann's period is 802): measured 6.3e-16 relative
+@example(kind=BasisKind.PERIODIC, N=200, L=7.5, alpha=1.5)
+@example(kind=BasisKind.ANTIPERIODIC, N=200, L=0.3, alpha=0.5)
+@example(kind=BasisKind.DIRICHLET, N=200, L=13.0, alpha=2.0)
+@example(kind=BasisKind.NEUMANN, N=200, L=1.0, alpha=1.37)
 def test_multiplier_matrix_is_the_direct_sum_over_the_coefficient_table(kind, N, L, alpha):
     # the one-kernel FFT route against the definition, which ties the C_n
     # table of ``coefficients`` to the reference matrix
