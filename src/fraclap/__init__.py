@@ -15,8 +15,9 @@ columns: two independent blocks when V is even, one coupled matrix of them
 otherwise.  The ``Spectrum`` keeps its states in the modes and forms grid
 eigenvectors only when they are read; ``mode_coefficients`` and ``evolve``
 never read them, and ``eigendecompose(H, vectors=False)`` solves for the
-eigenvalues alone.  On the Dirichlet grid |p|^alpha is the spectral
-fractional Laplacian of the box, whose exact levels are Laskin's
+eigenvalues alone (on a periodic grid, with ``classes=period_classes(H)``,
+as four parity x period blocks).  On the Dirichlet grid |p|^alpha is the
+spectral fractional Laplacian of the box, whose exact levels are Laskin's
 ``exact_box_energy``.  The momentum representation of |p|^alpha + x^2 is
 the same route with kinetic exponent 2 and potential |x|^alpha.
 
@@ -51,6 +52,7 @@ from .eigen import (
     eigendecompose,
     evolve,
     mode_coefficients,
+    period_classes,
     reconstruct,
 )
 from .errors import (
@@ -103,6 +105,7 @@ __all__ = [
     "evolve",
     "mode_coefficients",
     "parity_map",
+    "period_classes",
     "reconstruct",
     "FraclapError",
     "ParameterError",

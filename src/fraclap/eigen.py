@@ -17,7 +17,13 @@ parities and period tags come from the mode coefficients of each block.
 ``eigendecompose(H, vectors=False)`` solves for the eigenvalues only
 (``eigvalsh``); its ``Spectrum`` still places each state in its block, so
 an even V's parities are known, but every reader of the states raises a
-``ContractError``.  The Mathieu q-sweep takes each step that way and asks
+``ContractError``.  On a periodic grid each parity block splits further by
+the period of its modes (``period_classes``): with ``classes=`` a
+values-only solve takes four blocks of about half the size, one per parity
+and period, and drops the entries that couple the two periods.  For the
+Mathieu potential that coupling is one aliasing entry, so the Mathieu
+q-sweep solves its steps that way once a check at its largest |q| shows the
+split levels equal to the whole blocks' to rounding.  It asks
 ``block_vectors`` for one block's states only where its eigenvalues cannot
 prove a branch continuous.
 """
@@ -138,7 +144,7 @@ def _eigh(A: np.ndarray, vectors: bool = True):
         raise NumericalError(f"eigendecomposition failed: {exc}")
 
 
-def eigendecompose(H: Hamiltonian, vectors: bool = True) -> Spectrum:
+def eigendecompose(H: Hamiltonian, vectors: bool = True, classes=None) -> Spectrum:
     """Spectrum of a Hamiltonian, solved over its even and its odd mode columns.
 
     On the half-blocks X_b = S[rows_b, cols_b] of ``H.halves`` the even-even
@@ -153,6 +159,16 @@ def eigendecompose(H: Hamiltonian, vectors: bool = True) -> Spectrum:
     eigenvectors are kept as their even and their odd rows.  With
     ``vectors=False`` each solve is an ``eigvalsh`` (the same levels to
     rounding, about twice as fast) and the blocks keep no states.
+
+    ``classes``, the ``period_classes`` of a periodic H, solves each block of
+    an even V as its period-L and its period-2L columns apart, values only:
+    each parity's levels are its two class spectra merged by a stable sort,
+    and the ``Spectrum`` has the blocks and ``at`` arrays of the whole-block
+    solve.  It drops the block entries between the two classes, so its levels
+    are those of H only where V has period L; for 2q cos 2x at L = pi the
+    dropped part is one aliasing entry of size q between the modes r = n/2 =
+    N - 1 and r = N.  At N = 200 two class blocks take about half the time of
+    their whole block (1.4-1.5 against 2.3-3.4 ms, one BLAS thread).
     """
     if not isinstance(H, Hamiltonian):
         raise ContractError(f"eigendecompose takes a Hamiltonian, got {type(H).__name__}")
@@ -164,12 +180,17 @@ def eigendecompose(H: Hamiltonian, vectors: bool = True) -> Spectrum:
         )
     halves = H.halves
     minus, weights = _block_weights(H)
+    if classes is not None and (vectors or minus is not None):
+        raise ContractError("the period split solves an even potential for its eigenvalues only")
     if minus is None:
         # each block matrix is formed just before its solve and dropped after it
-        solved = [
-            _eigh(_mode_block(half, H.kinetic, wV), vectors)
-            for half, wV in zip(halves.blocks, weights)
-        ]
+        if classes is None:
+            solved = [
+                _eigh(_mode_block(half, H.kinetic, wV), vectors)
+                for half, wV in zip(halves.blocks, weights)
+            ]
+        else:
+            solved = [(_class_levels(pair, H.kinetic, wV), None) for pair, wV in zip(classes, weights)]
         w = np.concatenate((solved[0][0], solved[1][0]))
         order = np.argsort(w, kind="stable")
         at = np.split(np.argsort(order), [len(solved[0][0])])
@@ -183,6 +204,12 @@ def eigendecompose(H: Hamiltonian, vectors: bool = True) -> Spectrum:
     states = np.arange(len(w))
     Y_e, Y_o = np.split(Y, [len(even_half.cols)]) if vectors else (None, None)
     return Spectrum(w, H.grid, (ModeBlock(states, Y_e), ModeBlock(states, Y_o)), halves)
+
+
+def _class_levels(pair, kinetic: np.ndarray, wV: np.ndarray) -> np.ndarray:
+    """A parity block's levels from its two period classes, merged by a stable sort."""
+    levels = [_eigh(_mode_block(half, kinetic, wV), False)[0] for half in pair]
+    return np.sort(np.concatenate(levels), kind="stable")
 
 
 def _block_weights(H: Hamiltonian):
@@ -207,6 +234,34 @@ def block_vectors(H: Hamiltonian, b: int) -> np.ndarray:
     if minus is not None:
         raise ContractError("block_vectors needs an even potential; this one couples the blocks")
     return _eigh(_mode_block(H.halves.blocks[b], H.kinetic, weights[b]))[1]
+
+
+def _full_period(grid: Grid) -> np.ndarray:
+    """For each free mode of a periodic grid, whether n/2 is odd: minimal period 2L, not L."""
+    return (mode_numbers(grid) // 2) % 2 == 1
+
+
+def period_classes(H: Hamiltonian) -> tuple:
+    """The mode half-blocks of a periodic H, each split by the period of its modes.
+
+    One pair per parity block, even first: the ``HalfBlock`` over the
+    block's columns of period L (n/2 even), then the one over its columns of
+    period 2L (n/2 odd), each with the block's rows and a C-contiguous copy
+    of its modes.  The cos or sin mode r = n/2 alternates between the two
+    classes, so each holds every other column of the block.  These are the
+    four classes of the Mathieu functions, a_2k and b_2k+2 of period pi,
+    a_2k+1 and b_2k+1 of period 2 pi (DLMF 28.2(vi)).
+    """
+    if H.grid.kind != BasisKind.PERIODIC:
+        raise ContractError(f"period classes need a periodic grid, got {H.grid.kind.value}")
+    full = _full_period(H.grid)
+    return tuple(
+        tuple(
+            HalfBlock(half.sign, half.rows, half.cols[on], np.ascontiguousarray(half.modes[:, on]))
+            for on in (~full[half.cols], full[half.cols])
+        )
+        for half in H.halves.blocks
+    )
 
 
 def _mode_block(half: HalfBlock, kinetic: np.ndarray, wV: np.ndarray) -> np.ndarray:
@@ -248,7 +303,7 @@ def classify_parity(spec: Spectrum) -> list:
     _require_vectors(spec, "classify_parity")
     periods = [None] * len(spec.eigenvalues)
     if spec.grid.kind == BasisKind.PERIODIC:
-        full_period = (mode_numbers(spec.grid) // 2) % 2 == 1
+        full_period = _full_period(spec.grid)
         full, half = np.zeros((2, len(spec.eigenvalues)))
         for half_block, block in zip(spec.halves.blocks, spec.blocks):
             mass = block.vectors**2

@@ -13,13 +13,16 @@ parsed ones, so every potential and every psi0 is sampled over the whole
 grid in one call.  An evolve job stays in the free modes: one ``evolve``
 call for all its times, with no grid eigenvector formed.  Convergence,
 wkb-compare and q-sweep jobs write levels only and solve for eigenvalues
-only; a q-sweep forms one block's states only at a step where the level
-gaps cannot prove its branches continuous.  A time whose
+only; a q-sweep solves each step as four parity x period blocks, unless a
+check at its largest |q| finds the split off the two whole parity blocks by
+more than rounding, and forms one block's states only at a step where the
+level gaps cannot prove its branches continuous.  A time whose
 phases t E_n / hbar would overflow, or carry more than 1e-6 rad of rounding,
-is a ConfigError.  The writers format a whole table with one %-format: the
-row format is built once from the cell types and repeated over the rows, with
-the bytes of the per-value ``_fmt``.  An evolve job builds its rows from
-whole columns (``tolist``, ``np.hypot``), not cell by cell.
+is a ConfigError.  The CSV writer formats a whole table with one %-format:
+the row format is built once from the cell types and repeated over the rows,
+with the bytes of the per-value ``_fmt``, which the JSON writer calls cell by
+cell.  An evolve job builds its rows from whole columns (``tolist``,
+``np.hypot``), not cell by cell.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,7 @@ import numpy as np
 from . import __version__
 from .basis import BasisKind
 from .config import JobConfig, Preset, evolve_table_name
-from .eigen import Spectrum, block_vectors, classify_parity, eigendecompose, evolve
+from .eigen import Spectrum, block_vectors, classify_parity, eigendecompose, evolve, period_classes
 
 # The evolve layer's coefficients, under the name that benchmarks/tracing.py
 # swaps to time it with ``evolve``; only |c| is read here.
@@ -50,9 +53,6 @@ _DIGITS = 15
 _NUMBER = f"%.{_DIGITS}g"
 # Largest phase rounding, in radians, that an evolution time may carry.
 _PHASE_TOL = 1e-6
-# Ends each cell of a JSON table while it is formatted; no number's rendering
-# holds it, and a text cell that does is caught by counting.
-_CELL_SEP = "\x1f"
 
 
 def _fmt(value) -> str:
@@ -237,6 +237,9 @@ _BLOCK_LABELS = (("a0", "a1", "a2", "a3"), ("b1", "b2", "b3"))
 # Largest share of a level gap that the step in V may take for the gap to
 # prove a branch continuous; the sin-theta bound needs less than sqrt(3)/2.
 _GAP_SHARE = 0.85
+# Largest move of a swept level, relative to the largest |level|, for which a
+# q-sweep keeps the period split: the eigensolvers' own rounding.
+_SPLIT_TOL = 1e-14
 
 
 def _mathieu_picks(spectrum: Spectrum) -> dict:
@@ -306,28 +309,52 @@ def _unproven_overlaps(before, H, spectrum):
     return overlaps, states
 
 
+def _split_is_rounding(whole: Spectrum, split: Spectrum) -> bool:
+    """Whether each swept level of ``split`` lies within _SPLIT_TOL max|level| of ``whole``'s."""
+    picks, split_picks = _mathieu_picks(whole), _mathieu_picks(split)
+    bound = _SPLIT_TOL * float(np.abs(whole.eigenvalues).max())
+    return all(
+        abs(whole.eigenvalues[picks[l]] - split.eigenvalues[split_picks[l]]) <= bound
+        for l in _SWEEP_LABELS
+    )
+
+
 def run_q_sweep(cfg: JobConfig) -> ResultTable:
     """Characteristic-value branches over a q range, labels tracked by overlap.
 
     |p|^alpha + 2q cos(2z) on the periodic grid at L = pi; the mode
     half-blocks, with their parity layout, and the kinetic diagonal are built
-    once for the whole sweep.  Each step is a values-only solve: a_n and b_n
-    are picked by rank in the even and in the odd block.  A branch is
-    continuous when its states at consecutive steps overlap by at least 0.5.
-    Most steps prove that from the levels alone (``_gap_proves_continuity``);
-    only a block where they cannot has its states solved, each step at most
-    once, and a measured overlap below 0.5 is a warning in the metadata.  No
-    grid eigenvector is formed, and no block matrix outlives its solve.
+    once for the whole sweep, and so are their ``period_classes``.  Each step
+    is a values-only solve of four class blocks, parity times period (a_2k,
+    a_2k+1, b_2k+1, b_2k+2): a_n and b_n are picked by rank in the even and
+    in the odd block.  The split drops one aliasing entry of size q, so the
+    step with the largest |q| is also solved as two whole parity blocks; if
+    a swept level there moves by more than ``_SPLIT_TOL`` times the largest
+    |level|, the grid under-resolves the states and the whole sweep solves
+    two whole blocks per step instead.  A branch is continuous when its
+    states at consecutive steps overlap by at least 0.5.  Most steps prove
+    that from the levels alone (``_gap_proves_continuity``); only a block
+    where they cannot has its states solved, each step at most once, and a
+    measured overlap below 0.5 is a warning in the metadata.  No grid
+    eigenvector is formed, and no block matrix outlives its solve.
     """
     q_min, q_max, steps = cfg.sweep
     qs = np.linspace(q_min, q_max, steps)
     spec = _spec(cfg, cfg.N, _mathieu(q_min), BasisKind.PERIODIC)
-    hamiltonians = assemble_sweep(spec, math.pi, (_mathieu(float(q)) for q in qs))
+    top = int(np.argmax(np.abs(qs)))
+    # the largest |q| first, for the check, then every step in order
+    hamiltonians = assemble_sweep(spec, math.pi, (_mathieu(float(q)) for q in chain([qs[top]], qs)))
+    H_top = next(hamiltonians)
+    classes = period_classes(H_top)
+    whole = eigendecompose(H_top, vectors=False)
+    split = eigendecompose(H_top, vectors=False, classes=classes)
+    if not _split_is_rounding(whole, split):  # the grid under-resolves the states
+        classes, split = None, whole
     rows = []
     warnings = []
     prev = None
-    for q, H in zip(qs, hamiltonians):
-        spectrum = eigendecompose(H, vectors=False)
+    for i, (q, H) in enumerate(zip(qs, hamiltonians)):
+        spectrum = split if i == top else eigendecompose(H, vectors=False, classes=classes)
         picks = _mathieu_picks(spectrum)
         states = {}
         if prev is not None:
@@ -494,22 +521,10 @@ def write_csv(table: ResultTable, directory) -> Path:
     return path
 
 
-def _json_rows(rows) -> list:
-    """Each row as its list of ``_fmt`` cells, split from one ``_format_table`` call.
-
-    The split is used only when it finds exactly one ``_CELL_SEP`` per
-    cell; a text cell holding one more gets the table rendered cell by cell.
-    """
-    cells = _format_table(rows, _CELL_SEP, _CELL_SEP).split(_CELL_SEP)
-    if len(cells) != sum(map(len, rows)) + 1:
-        return [[_fmt(v) for v in row] for row in rows]
-    cells = iter(cells)
-    return [list(islice(cells, len(row))) for row in rows]
-
-
 def write_json(table: ResultTable, directory) -> Path:
     path = Path(directory) / f"{table.name}.json"
-    payload = {"metadata": table.metadata, "columns": table.columns, "rows": _json_rows(table.rows)}
+    rows = [[_fmt(v) for v in row] for row in table.rows]
+    payload = {"metadata": table.metadata, "columns": table.columns, "rows": rows}
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 from fraclap import (
     BasisKind,
     ConfigError,
+    ContractError,
     HamiltonianSpec,
     NumericalError,
     assemble,
@@ -16,6 +18,7 @@ from fraclap import (
     eigendecompose,
     find_pms_length,
     parse,
+    period_classes,
 )
 from fraclap import config, jobs
 from fraclap.cli import main
@@ -254,10 +257,14 @@ class TestQSweep:
     @pytest.mark.parametrize("N", [20, 200])
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_rows_match_per_q_public_route(self, alpha, N):
-        # one kinetic diagonal per sweep and block ranks give the same bits
-        # as assembling each q on its own and solving it values-only, and the
+        # one kinetic diagonal per sweep and block ranks give the levels of
+        # assembling each q on its own and solving it values-only, and the
         # full solve labelled by classify_parity picks the same states, whose
-        # eigh levels differ from the eigvalsh ones by rounding only
+        # eigh levels differ from the eigvalsh ones by rounding only.  At
+        # N = 20, q = 20 the period split moves a level by more than rounding
+        # at alpha = 1 and 1.5, so those sweeps solve whole blocks and give
+        # the same bits; elsewhere the split levels differ by rounding only
+        # (alpha = 2, N = 20: 2.6e-12 against a bound of 4.1e-12)
         q_max, steps = 20.0, 5
         table = run_q_sweep(
             build_job_config(
@@ -278,9 +285,11 @@ class TestQSweep:
             picks = [even[0], odd[0], even[1], odd[1], even[2], odd[2], even[3]]
             full.append([q] + [float(spectrum.eigenvalues[i]) for i in picks])
             scale = max(scale, float(np.abs(spectrum.eigenvalues).max()))
-        assert [[v.hex() for v in row] for row in table.rows] == [
-            [v.hex() for v in row] for row in expected
-        ]
+        if N == 20 and alpha < 2.0:
+            assert [[v.hex() for v in row] for row in table.rows] == [
+                [v.hex() for v in row] for row in expected
+            ]
+        assert np.abs(np.array(table.rows) - np.array(expected)).max() <= 1e-14 * scale
         # both solvers are backward stable: a level moves by a few eps times
         # the largest one (measured: up to 1.9e-15 of it over these spectra)
         assert np.abs(np.array(table.rows) - np.array(full)).max() <= 1e-14 * scale
@@ -294,11 +303,15 @@ def _sweep_cfg(alpha, N, q_max=20.0, steps=12):
 
 
 def _record_spectra(monkeypatch):
-    """(Hamiltonian, spectrum) of every step the q-sweep solves, in step order."""
+    """(Hamiltonian, spectrum) of every solve a q-sweep makes, in call order.
+
+    The guard's two solves of the largest |q| come first, then the other
+    steps in step order.
+    """
     solved = []
 
-    def keep(H, vectors=True):
-        solved.append((H, eigendecompose(H, vectors)))
+    def keep(H, vectors=True, **kwargs):
+        solved.append((H, eigendecompose(H, vectors, **kwargs)))
         return solved[-1][1]
 
     monkeypatch.setattr(jobs, "eigendecompose", keep)
@@ -309,7 +322,7 @@ class TestQSweepInModes:
     def test_no_step_forms_grid_vectors(self, monkeypatch):
         solved = _record_spectra(monkeypatch)
         run_q_sweep(_sweep_cfg(1.5, 20))
-        assert len(solved) == 12
+        assert len(solved) == 13  # 12 steps, the largest |q| twice: split and whole blocks
         assert all(s.blocks[0].vectors is None for _, s in solved)
         assert all("eigenvectors" not in vars(s) for _, s in solved)
 
@@ -317,7 +330,8 @@ class TestQSweepInModes:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     def test_mode_overlaps_equal_grid_overlaps(self, monkeypatch, alpha, N):
         # every step shares the orthogonal S, so the overlap of two block
-        # states is that of their grid vectors
+        # states is that of their grid vectors (the first pairs compare the
+        # guard's step, the largest |q|, with itself and with q = 0)
         solved = _record_spectra(monkeypatch)
         run_q_sweep(_sweep_cfg(alpha, N))
         worst = 0.0
@@ -352,6 +366,72 @@ class TestQSweepInModes:
         # N = 2: the even block holds 3 states, and a3 needs a fourth
         with pytest.raises(NumericalError, match="not enough even states to label a3 .3 at N = 2."):
             run_q_sweep(_sweep_cfg(1.5, 2, q_max=1.0, steps=3))
+
+
+def _split_calls(monkeypatch):
+    """Whether each eigendecompose call of a q-sweep took the period split, in call order."""
+    calls = []
+
+    def spy(H, vectors=True, classes=None):
+        calls.append(classes is not None)
+        return eigendecompose(H, vectors, classes)
+
+    monkeypatch.setattr(jobs, "eigendecompose", spy)
+    return calls
+
+
+class TestPeriodSplit:
+    def test_guard_falls_back_on_an_under_resolved_grid(self, monkeypatch, tmp_path):
+        # alpha = 0.5, N = 30, q = 40: dropping the aliasing entry moves a
+        # swept level by ~1.4, so the sweep keeps the two whole blocks and
+        # writes the bytes of the route without the split
+        cfg = _sweep_cfg(0.5, 30, q_max=40.0, steps=6)
+        H = list(_sweep_hamiltonians(0.5, 30, 40.0, 6))[-1][1]
+        whole = eigendecompose(H, vectors=False)
+        split = eigendecompose(H, vectors=False, classes=period_classes(H))
+        picks, split_picks = jobs._mathieu_picks(whole), jobs._mathieu_picks(split)
+        moved = max(abs(whole.eigenvalues[picks[l]] - split.eigenvalues[split_picks[l]]) for l in picks)
+        assert moved > 1.0
+        calls = _split_calls(monkeypatch)
+        written = jobs.write_csv(run_q_sweep(cfg), tmp_path).read_bytes()
+        assert calls == [False, True] + [False] * 5
+        monkeypatch.setattr(jobs, "period_classes", lambda H: None)
+        (tmp_path / "whole").mkdir()
+        assert jobs.write_csv(run_q_sweep(cfg), tmp_path / "whole").read_bytes() == written
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_resolved_sweep_splits_within_rounding(self, monkeypatch, alpha):
+        q_max, steps = 8.0, 6
+        calls = _split_calls(monkeypatch)
+        rows = np.array(run_q_sweep(_sweep_cfg(alpha, 200, q_max, steps)).rows)
+        assert calls == [False] + [True] * steps
+        monkeypatch.undo()
+        whole, scale = [], 0.0
+        for q, H in _sweep_hamiltonians(alpha, 200, q_max, steps):
+            levels = eigendecompose(H, vectors=False)
+            picks = jobs._mathieu_picks(levels)
+            whole.append([q] + [float(levels.eigenvalues[picks[l]]) for l in jobs._SWEEP_LABELS])
+            scale = max(scale, float(np.abs(levels.eigenvalues).max()))
+        assert np.abs(rows - np.array(whole)).max() <= 1e-14 * scale
+        # q = 0: the free levels 0, 1, 1, 2^a, 2^a, 3^a, 3^a in the order a0 b1 a1 b2 a2 b3 a3
+        free = [0.0, 1.0, 1.0, 2.0**alpha, 2.0**alpha, 3.0**alpha, 3.0**alpha]
+        assert np.abs(rows[0, 1:] - free).max() <= 1e-10
+        # q = q_max: a0 < b1 < a1 < ... are the seven lowest levels of the dense grid matrix
+        dense = np.linalg.eigvalsh(H.entries)[:7]
+        assert np.abs(np.sort(rows[-1, 1:]) - dense).max() <= 1e-10
+
+    def test_needs_an_even_potential_and_values_only(self):
+        spec = HamiltonianSpec(
+            alpha=1.0, potential=parse("cos(2*x) + sin(x)"), kind=BasisKind.PERIODIC, N=6
+        )
+        H = assemble(spec, math.pi)
+        with pytest.raises(ContractError, match="even potential for its eigenvalues only"):
+            eigendecompose(H, vectors=False, classes=period_classes(H))
+        H = next(_sweep_hamiltonians(1.0, 6, 1.0, 2))[1]
+        with pytest.raises(ContractError, match="even potential for its eigenvalues only"):
+            eigendecompose(H, classes=period_classes(H))
+        with pytest.raises(ContractError, match="periodic grid, got dirichlet"):
+            period_classes(assemble(replace(spec, kind=BasisKind.DIRICHLET), 3.0))
 
 
 class TestSpectrumRows:
